@@ -1,5 +1,5 @@
-//! Persistent columnar store throughput: encode+commit, cold reads,
-//! and cached reads.
+//! Persistent columnar store throughput: encode+commit, recommit after
+//! a streamed append, cold reads, and cached reads.
 
 use cm_bench::harness::Harness;
 use cm_events::{EventId, SampleMode};
@@ -16,9 +16,10 @@ fn bench_path(name: &str) -> PathBuf {
     ))
 }
 
-/// Integral counter-like values (DeltaVarint-eligible).
-fn counter_series(run: u32, event: usize, n: usize) -> Vec<f64> {
-    (0..n)
+/// Integral counter-like values (DeltaVarint-eligible): samples
+/// `from..to` of one series.
+fn counter_series(run: u32, event: usize, from: usize, to: usize) -> Vec<f64> {
+    (from..to)
         .map(|i| (1000 + (i as u64 * 37 + run as u64 * 101 + event as u64 * 13) % 4096) as f64)
         .collect()
 }
@@ -33,7 +34,7 @@ fn committed_store(path: &PathBuf, n: usize, cache: CacheConfig) -> Store {
             store
                 .append_series(
                     SeriesKey::new("bench", run, SampleMode::Mlpx, EventId::new(event)),
-                    &counter_series(run, event, n),
+                    &counter_series(run, event, 0, n),
                 )
                 .unwrap();
         }
@@ -55,6 +56,28 @@ fn bench_store(c: &mut Harness) {
                 std::hint::black_box(store.info().file_bytes)
             });
         });
+        let _ = std::fs::remove_file(&path);
+
+        // The serve append shape: 2-row tails staged on one run's series
+        // of a committed store, then a commit that copies every other
+        // chunk into the next file generation. Chains grow and compact
+        // across iterations exactly as under repeated stream appends.
+        let path = bench_path("recommit_append");
+        let mut store = committed_store(&path, n, CacheConfig::default());
+        let mut next = n;
+        group.bench_with_input(format!("recommit_append/{n}"), &n, |bench, _| {
+            bench.iter(|| {
+                for event in 0..EVENTS {
+                    let key = SeriesKey::new("bench", 0, SampleMode::Mlpx, EventId::new(event));
+                    let tail = counter_series(0, event, next, next + 2);
+                    store.extend_series(key, &tail).unwrap();
+                }
+                next += 2;
+                store.commit().unwrap();
+                std::hint::black_box(store.info().file_bytes)
+            });
+        });
+        drop(store);
         let _ = std::fs::remove_file(&path);
 
         // Cold reads: cache disabled, every read decodes from disk.

@@ -11,8 +11,8 @@
 use crate::CmError;
 use cm_events::EventId;
 use cm_ml::{metrics, BinnedDataset, Dataset, Sgbrt, SgbrtConfig, Trainer, MAX_BINS};
-use cm_rng::Rng;
-use cm_stats::estimator::{mix_seed, rank_stability, Posterior};
+use cm_rng::{mix_seed, Rng};
+use cm_stats::estimator::{rank_stability, Posterior};
 
 /// Configuration of the importance ranker.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,7 +1,7 @@
 use crate::binning::{BinnedDataset, BinnedView, MAX_BINS};
 use crate::tree::{FlatForest, RegressionTree, TreeConfig};
 use crate::{hist, Dataset, MlError};
-use cm_rng::Rng;
+use cm_rng::{mix_seed, Rng};
 
 /// Rows per parallel chunk for batch prediction and residual updates.
 const PREDICT_CHUNK: usize = 64;
@@ -55,17 +55,6 @@ impl std::str::FromStr for Trainer {
             Err(MlError::InvalidConfig("trainer must be `exact` or `hist`"))
         }
     }
-}
-
-/// Derives an independent RNG stream from a base seed (splitmix64
-/// finalizer). Stream `t` seeds tree `t`'s subsampling, so each stage's
-/// sample is a pure function of `(seed, t)` — independent of execution
-/// order and therefore of the thread count.
-pub(crate) fn stream_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Configuration for the stochastic gradient boosted ensemble
@@ -223,7 +212,7 @@ impl SgbrtConfig {
     /// switching trainer never changes which rows a stage sees.
     fn stage_sample(&self, n: usize, t: usize) -> Vec<usize> {
         let subsample_n = ((n as f64) * self.subsample).round().max(1.0) as usize;
-        let mut rng = Rng::seed_from_u64(stream_seed(self.seed, t as u64));
+        let mut rng = Rng::seed_from_u64(mix_seed(self.seed, t as u64));
         let mut sample: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut sample);
         sample.truncate(subsample_n);

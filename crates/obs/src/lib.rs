@@ -55,6 +55,7 @@
 //! | `ml.` / `interaction.` | model training & pair ranking | `ml.trees_grown`, `interaction.pairs` |
 //! | `pipeline.` | the pipeline facade | `pipeline.analyses`, `pipeline.resume.hits`, `pipeline.resume.misses` (persistent-store snapshot reuse) |
 //! | `store.` | the persistent columnar store | `store.commits`, `store.chunks_written`, `store.bytes_written`, `store.recovered_partial`, `store.cache.hits`, `store.cache.misses`, `store.cache.evictions` |
+//! | `store.commit.` | the store's commit copy path | `store.commit.copy_reads` (positioned reads that copied committed chunks into the next file; one per staging-buffer fill of a contiguous run, not one per chunk), `store.commit.copied_bytes` (committed chunk bytes copied) |
 //! | `store.decode.` | the store's chunk read path | `store.decode.chunks` (chunks checksummed + decoded), `store.decode.bytes` (payload bytes decoded), `store.decode.reads` (positioned file reads issued; batched reads coalesce many chunks per read) |
 //! | `par.sched.` | thread-pool scheduling (non-deterministic by design) | `par.sched.steals` |
 //! | `serve.` | the concurrent analysis service (`cm-serve`) | `serve.requests`, `serve.errors`, `serve.subscriptions`, `serve.notifications` (workload-deterministic); `serve.batch.flushes`, `serve.batch.coalesced`, `serve.dedup.hits` (batch formation — scheduling-scoped like `par.sched.*`) |

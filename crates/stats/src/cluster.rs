@@ -16,7 +16,7 @@
 //! matrix is computed by [`cm_par::map`] over a fixed pair order (pure
 //! per-entry work, order-preserving collection); the seeded
 //! initialization draws only the first medoid, from resampling stream
-//! 0 of the seed (see [`crate::estimator::mix_seed`]), and picks the rest by farthest-point refinement with
+//! 0 of the seed (see [`cm_rng::mix_seed`]), and picks the rest by farthest-point refinement with
 //! lowest-index tie-breaking; the assignment/update sweeps are plain
 //! serial loops over the (deterministic) matrix.
 //!
@@ -42,9 +42,8 @@
 //! # Ok::<(), cm_stats::StatsError>(())
 //! ```
 
-use crate::estimator::mix_seed;
 use crate::{dtw, StatsError};
-use cm_rng::Rng;
+use cm_rng::{mix_seed, Rng};
 
 /// How two counter signatures are compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,12 +18,12 @@
 //!   X % intervals actually cover the ground truth.
 //!
 //! All resampling is driven by a [`Rng`] seeded with
-//! [`mix_seed`]`(seed, d)`: draw `d` is a pure function of `(seed, d)`,
+//! [`cm_rng::mix_seed`]`(seed, d)`: draw `d` is a pure function of `(seed, d)`,
 //! never of execution order, so every score computed here is
 //! bit-identical at any thread count.
 
 use crate::{Distribution, Normal, StatsError};
-use cm_rng::Rng;
+use cm_rng::{mix_seed, Rng};
 
 /// A Gaussian posterior over one reconstructed value.
 ///
@@ -86,35 +86,14 @@ fn standard_quantile(p: f64) -> f64 {
         .quantile(p)
 }
 
-/// Derives an independent sub-seed from `(seed, stream)` with the
-/// SplitMix64 finalizer — the same splittable-stream idiom the GBRT
-/// trainer and the chaos harness use. Stream `s` of seed `x` never
-/// collides with stream `s` of seed `y ≠ x` in practice, and adjacent
-/// streams are statistically independent.
-///
-/// # Examples
-///
-/// ```
-/// use cm_stats::estimator::mix_seed;
-///
-/// assert_ne!(mix_seed(7, 0), mix_seed(7, 1));
-/// assert_eq!(mix_seed(7, 3), mix_seed(7, 3));
-/// ```
-pub fn mix_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Next standard-normal draw from `rng`, via the inverse CDF (so one
 /// uniform consumes exactly one `next_u64`, keeping streams aligned).
 ///
 /// # Examples
 ///
 /// ```
-/// use cm_rng::Rng;
-/// use cm_stats::estimator::{mix_seed, next_gaussian};
+/// use cm_rng::{mix_seed, Rng};
+/// use cm_stats::estimator::next_gaussian;
 ///
 /// // Resampling stream `d` of `seed` is a pure function of `(seed, d)`.
 /// let mut a = Rng::seed_from_u64(mix_seed(42, 0));

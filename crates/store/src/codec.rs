@@ -107,25 +107,33 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encodes a chunk, choosing the cheapest lossless layout.
-///
-/// Returns the chosen encoding and the payload bytes.
+/// Encodes `values` into a fresh payload buffer (see
+/// [`encode_chunk_into`]).
+#[cfg(test)]
 pub(crate) fn encode_chunk(values: &[f64]) -> (Encoding, Vec<u8>) {
+    let mut out = Vec::new();
+    let encoding = encode_chunk_into(values, &mut out);
+    (encoding, out)
+}
+
+/// Encodes a chunk, choosing the cheapest lossless layout, and appends
+/// the payload to `out` — a commit encodes straight into its staging
+/// buffer. Returns the chosen encoding. Encoding is deterministic: the
+/// same values always give the same bytes.
+pub(crate) fn encode_chunk_into(values: &[f64], out: &mut Vec<u8>) -> Encoding {
     if delta_encodable(values) {
-        let mut out = Vec::with_capacity(values.len() * 2 + 8);
         let mut prev: i64 = 0;
         for &v in values {
             let iv = v as i64;
-            write_varint(&mut out, zigzag(iv.wrapping_sub(prev)));
+            write_varint(out, zigzag(iv.wrapping_sub(prev)));
             prev = iv;
         }
-        (Encoding::DeltaVarint, out)
+        Encoding::DeltaVarint
     } else {
-        let mut out = Vec::with_capacity(values.len() * 8);
         for &v in values {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        (Encoding::RawF64, out)
+        Encoding::RawF64
     }
 }
 
@@ -234,7 +242,14 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 /// computed eight bytes per step (see [`CRC_TABLES`]) with a
 /// byte-at-a-time tail.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
+    crc32_extend(0, data)
+}
+
+/// Continues a CRC-32 over more bytes: `crc32_extend(crc32(a), b)`
+/// equals `crc32` of `a` followed by `b`, so a payload that arrives in
+/// pieces is checksummed without being joined first.
+pub(crate) fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut words = data.chunks_exact(8);
     for w in &mut words {
         let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
@@ -251,7 +266,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     for &byte in words.remainder() {
         crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
-    crc ^ 0xFFFF_FFFF
+    !crc
 }
 
 #[cfg(test)]
@@ -405,6 +420,15 @@ mod tests {
             .collect();
         for len in 0..data.len() {
             assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn crc32_extend_matches_one_shot_at_every_split() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 29 + 7) as u8).collect();
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(crc32_extend(crc32(a), b), crc32(&data), "split {split}");
         }
     }
 }

@@ -8,9 +8,10 @@
 //! `docs/STORAGE_FORMAT.md` for the full specification.
 //!
 //! Writes are staged in memory and made durable by [`Store::commit`],
-//! which builds the whole file under a temporary name and atomically
-//! renames it into place — readers never observe a torn store, and a
-//! crash mid-commit leaves the previous committed state intact.
+//! which streams the whole next file under a temporary name and
+//! atomically renames it into place — readers never observe a torn
+//! store, and a crash mid-commit leaves the previous committed state
+//! intact.
 
 use crate::cache::BlockCache;
 use crate::codec::{self, Encoding};
@@ -22,6 +23,7 @@ use crate::vfs::{RealFs, Vfs, VfsFile};
 use crate::{CacheConfig, CacheStats, StoreError};
 use cm_events::{EventId, RunRecord, SampleMode, TimeSeries};
 use std::collections::BTreeMap;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -964,30 +966,22 @@ impl Store {
         }
     }
 
-    /// Reads and CRC-verifies one committed chunk's raw payload bytes
-    /// (no decode) — the byte-copy path commit uses to carry unchanged
-    /// chunks into the next file generation.
-    fn read_committed_payload(&self, chunk: &ChunkRef) -> Result<Vec<u8>, StoreError> {
-        let file = self.file.as_ref().ok_or_else(|| StoreError::Corrupt {
-            file: self.file_name(),
-            what: "committed chunk without a committed file".to_string(),
-        })?;
-        let mut payload = vec![0u8; chunk.len as usize];
-        file.read_exact_at(&mut payload, chunk.offset)?;
-        if codec::crc32(&payload) != chunk.crc {
-            return Err(StoreError::ChecksumMismatch {
-                file: self.file_name(),
-                what: format!("chunk at offset {} during commit", chunk.offset),
-            });
-        }
-        Ok(payload)
-    }
-
-    /// Makes every staged write durable: builds the complete store file
-    /// under a temporary name (committed chunks are byte-copied without
-    /// re-encoding, staged tails are encoded as fresh chunks appended
-    /// to each series' chain), fsyncs it, and atomically renames it
-    /// over the store path.
+    /// Makes every staged write durable: streams the complete next file
+    /// generation to a temporary name, fsyncs it, and atomically renames
+    /// it over the store path.
+    ///
+    /// Committed chunks are byte-copied without re-encoding. Each run of
+    /// chunks that sits back to back in the current file and stays back
+    /// to back in the next one is fetched with one positioned read per
+    /// fill of the staging buffer, every chunk's CRC is checked in that
+    /// buffer, and the verified CRC is carried into the new index.
+    /// Staged tails become fresh chunks appended to each series' chain:
+    /// each is encoded once while the file is laid out, for its length
+    /// and CRC, and again straight into the staging buffer when the
+    /// stream reaches it. All output leaves through that one buffer of
+    /// at most [`COMMIT_STAGING_BYTES`] (a single chunk at least that
+    /// large is written from a buffer of its own), so a commit's memory
+    /// does not grow with the store or with the data it adds.
     ///
     /// A series whose chain would exceed [`MAX_CHUNK_CHAIN`] links is
     /// *compacted* instead: its committed chunks and staged tail are
@@ -998,26 +992,29 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] on filesystem failure; the previously
-    /// committed state is preserved on any error.
+    /// Returns [`StoreError::ChecksumMismatch`] when a committed chunk
+    /// fails its CRC and [`StoreError::Io`] on filesystem failure. On
+    /// any error the previously committed state is preserved and the
+    /// temporary file is removed.
     pub fn commit(&mut self) -> Result<(), StoreError> {
         if !self.has_staged() && !self.tables_dirty && self.file.is_some() {
             return Ok(());
         }
         let _span = cm_obs::span!("store.commit");
 
-        // An encoded chunk ready to hit disk: encoding, value count,
-        // payload bytes.
-        type EncodedChunk = (Encoding, u64, Vec<u8>);
-
-        // Build each series' new chunk chain, in key order.
-        let mut payloads: Vec<(SeriesKey, Vec<EncodedChunk>)> =
-            Vec::with_capacity(self.chunks.len());
+        // Lay the next generation out in key order: each series keeps
+        // its committed chunks and gains its encoded tail, unless it is
+        // compacted into one fresh chunk.
+        let mut layout = Layout {
+            pieces: Vec::new(),
+            scratch: Vec::new(),
+            end: SUPERBLOCK_LEN as u64,
+        };
+        let mut chains: Vec<Vec<ChunkRef>> = Vec::with_capacity(self.chunks.len());
         let mut staged_chunks = 0u64;
         let mut compactions = 0u64;
-        for (key, state) in &self.chunks {
+        for state in self.chunks.values() {
             let chain_len = state.disk.len() + usize::from(state.has_tail());
-            let mut chain: Vec<EncodedChunk> = Vec::with_capacity(chain_len.min(MAX_CHUNK_CHAIN));
             if chain_len > MAX_CHUNK_CHAIN {
                 // Compact: decode the whole chain plus the tail and
                 // re-encode the series as one chunk.
@@ -1028,46 +1025,23 @@ impl Store {
                 if let Some(tail) = &state.tail {
                     values.extend_from_slice(tail);
                 }
-                let (encoding, payload) = codec::encode_chunk(&values);
                 staged_chunks += 1;
                 compactions += 1;
-                chain.push((encoding, values.len() as u64, payload));
+                chains.push(vec![layout.encode(Arc::new(values))]);
             } else {
-                for chunk in &state.disk {
-                    let payload = self.read_committed_payload(chunk)?;
-                    chain.push((chunk.encoding, chunk.count, payload));
-                }
+                let mut chain: Vec<ChunkRef> = state.disk.iter().map(|c| layout.copy(c)).collect();
                 if let Some(tail) = &state.tail {
-                    let (encoding, payload) = codec::encode_chunk(tail);
                     staged_chunks += 1;
-                    chain.push((encoding, tail.len() as u64, payload));
+                    chain.push(layout.encode(tail.clone()));
                 }
+                chains.push(chain);
             }
-            payloads.push((key.clone(), chain));
         }
-
-        // Lay the file out: superblock, chunks, index.
-        let mut refs: Vec<Vec<ChunkRef>> = Vec::with_capacity(payloads.len());
-        let mut offset = SUPERBLOCK_LEN as u64;
-        for (_, chain) in &payloads {
-            let mut chain_refs = Vec::with_capacity(chain.len());
-            for (encoding, count, payload) in chain {
-                chain_refs.push(ChunkRef {
-                    encoding: *encoding,
-                    count: *count,
-                    offset,
-                    len: payload.len() as u64,
-                    crc: codec::crc32(payload),
-                });
-                offset += payload.len() as u64;
-            }
-            refs.push(chain_refs);
-        }
-        let index_offset = offset;
+        let index_offset = layout.end;
 
         let mut w = IndexWriter::new();
-        w.u64(payloads.len() as u64);
-        for ((key, _), chain) in payloads.iter().zip(&refs) {
+        w.u64(chains.len() as u64);
+        for (key, chain) in self.chunks.keys().zip(&chains) {
             w.str16(&key.program);
             w.u32(key.run_index);
             w.u8(mode_tag(key.mode));
@@ -1094,32 +1068,39 @@ impl Store {
             w.str32(value);
         }
         let index = w.finish();
-
+        let total_bytes = index_offset + index.len() as u64;
         let sb = Superblock {
             version: VERSION,
             index_offset,
             index_len: index.len() as u64,
         };
 
-        // Write, fsync, rename: atomic replacement of the store file.
+        // Stream, fsync, rename: atomic replacement of the store file.
+        // A failure once the temporary file exists removes it again, so
+        // an error never leaves a stray `.tmp` beside the committed file.
         let tmp = tmp_path(&self.path);
-        {
-            let mut f = self.vfs.create(&tmp)?;
-            f.write_all(&sb.encode())?;
-            for (_, chain) in &payloads {
-                for (_, _, payload) in chain {
-                    f.write_all(payload)?;
-                }
+        let out = self.vfs.create(&tmp)?;
+        let written = self
+            .write_generation(out, total_bytes, &sb.encode(), &layout.pieces, &index)
+            .and_then(|copied| {
+                self.vfs.rename(&tmp, &self.path)?;
+                Ok(copied)
+            });
+        let (copy_reads, copied_bytes) = match written {
+            Ok(done) => done,
+            Err(e) => {
+                let _ = self.vfs.remove(&tmp);
+                return Err(e);
             }
-            f.write_all(&index)?;
-            f.sync_all()?;
-        }
-        self.vfs.rename(&tmp, &self.path)?;
+        };
 
-        let total_bytes = index_offset + index.len() as u64;
         cm_obs::counter_add("store.commits", 1);
         cm_obs::counter_add("store.chunks_written", staged_chunks);
         cm_obs::counter_add("store.bytes_written", total_bytes);
+        if copy_reads > 0 {
+            cm_obs::counter_add("store.commit.copy_reads", copy_reads);
+            cm_obs::counter_add("store.commit.copied_bytes", copied_bytes);
+        }
         if compactions > 0 {
             cm_obs::counter_add("store.compactions", compactions);
         }
@@ -1130,16 +1111,228 @@ impl Store {
         self.file = Some(self.vfs.open(&self.path)?);
         self.file_bytes = total_bytes;
         self.cache.clear_salt(self.salt);
-        for ((key, _), chain) in payloads.into_iter().zip(refs) {
-            self.chunks.insert(
-                key,
-                SeriesState {
-                    disk: chain,
-                    tail: None,
-                },
-            );
+        for (state, chain) in self.chunks.values_mut().zip(chains) {
+            state.disk = chain;
+            state.tail = None;
         }
         self.tables_dirty = false;
+        Ok(())
+    }
+
+    /// Writes one file generation of `total_bytes` — superblock, chunk
+    /// pieces, index — through a staging buffer into `out` and fsyncs
+    /// it. Returns the number of positioned reads the copied runs took
+    /// and the bytes they copied.
+    fn write_generation(
+        &self,
+        mut out: Box<dyn VfsFile>,
+        total_bytes: u64,
+        superblock: &[u8],
+        pieces: &[Piece],
+        index: &[u8],
+    ) -> Result<(u64, u64), StoreError> {
+        let name = self.file_name();
+        let mut stage = Staging {
+            out: out.as_mut(),
+            buf: Vec::with_capacity(COMMIT_STAGING_BYTES.min(total_bytes as usize)),
+            copy_reads: 0,
+            copied_bytes: 0,
+        };
+        stage.put(superblock)?;
+        for piece in pieces {
+            match piece {
+                Piece::New { values, len } => stage.encode(values, *len)?,
+                Piece::Copy(run) => {
+                    let src = self.file.as_deref().ok_or_else(|| StoreError::Corrupt {
+                        file: name.clone(),
+                        what: "committed chunk without a committed file".to_string(),
+                    })?;
+                    stage.copy_run(src, run, &name)?;
+                }
+            }
+        }
+        stage.put(index)?;
+        stage.flush()?;
+        let copied = (stage.copy_reads, stage.copied_bytes);
+        out.sync_all()?;
+        Ok(copied)
+    }
+}
+
+/// Upper bound on the staging buffer [`Store::commit`] streams the next
+/// file generation through. Copied chunk runs are read straight into it
+/// and new chunks are encoded straight into it, so a commit issues one
+/// read and one write per fill rather than per chunk, and holds neither
+/// the old file's chunks nor its own new ones in memory.
+pub const COMMIT_STAGING_BYTES: usize = 256 * 1024;
+
+/// One stretch of the next file generation's chunk region.
+enum Piece {
+    /// Committed chunks that sit back to back in the current file and
+    /// stay back to back in the next one: copied with as few reads as
+    /// the staging buffer allows.
+    Copy(Vec<ChunkRef>),
+    /// A fresh chunk — a staged tail or a compacted chain — of `len`
+    /// encoded bytes, encoded again when the stream reaches it.
+    New { values: Arc<Vec<f64>>, len: usize },
+}
+
+/// The next file generation, laid out chunk by chunk.
+struct Layout {
+    pieces: Vec<Piece>,
+    /// Reused encode buffer: measures and checksums one fresh chunk at
+    /// a time, so layout never holds more than one encoded chunk.
+    scratch: Vec<u8>,
+    /// Offset the next chunk lands at.
+    end: u64,
+}
+
+impl Layout {
+    /// Places a committed chunk, extending the current copy run when
+    /// the chunk directly follows the run's last chunk in the current
+    /// file. The returned ref carries the chunk's stored CRC, which the
+    /// copy verifies before the commit can succeed.
+    fn copy(&mut self, chunk: &ChunkRef) -> ChunkRef {
+        let placed = ChunkRef {
+            offset: self.end,
+            ..*chunk
+        };
+        self.end += chunk.len;
+        match self.pieces.last_mut() {
+            Some(Piece::Copy(run))
+                if run.last().is_some_and(|c| c.offset + c.len == chunk.offset) =>
+            {
+                run.push(*chunk);
+            }
+            _ => self.pieces.push(Piece::Copy(vec![*chunk])),
+        }
+        placed
+    }
+
+    /// Places `values` as a fresh chunk: encodes it once to learn its
+    /// length and CRC for the index.
+    fn encode(&mut self, values: Arc<Vec<f64>>) -> ChunkRef {
+        self.scratch.clear();
+        let encoding = codec::encode_chunk_into(&values, &mut self.scratch);
+        let placed = ChunkRef {
+            encoding,
+            count: values.len() as u64,
+            offset: self.end,
+            len: self.scratch.len() as u64,
+            crc: codec::crc32(&self.scratch),
+        };
+        self.end += placed.len;
+        self.pieces.push(Piece::New {
+            values,
+            len: self.scratch.len(),
+        });
+        placed
+    }
+}
+
+/// The bounded buffer a commit's output passes through on its way to
+/// the temporary file; it never holds more than [`COMMIT_STAGING_BYTES`].
+struct Staging<'a> {
+    out: &'a mut dyn VfsFile,
+    buf: Vec<u8>,
+    copy_reads: u64,
+    copied_bytes: u64,
+}
+
+impl Staging<'_> {
+    /// Makes room for `len` more bytes, writing the buffer out if they
+    /// would overflow it.
+    fn reserve(&mut self, len: usize) -> io::Result<()> {
+        if self.buf.len() + len > COMMIT_STAGING_BYTES {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Queues `bytes` (the superblock or the index) for writing; bytes
+    /// that fill the buffer on their own are written straight through.
+    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.reserve(bytes.len())?;
+        if bytes.len() >= COMMIT_STAGING_BYTES {
+            return self.out.write_all(bytes);
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// Encodes a fresh chunk of `len` bytes into the buffer; one that
+    /// fills the buffer on its own is encoded into a buffer of its own
+    /// and written straight through.
+    fn encode(&mut self, values: &[f64], len: usize) -> io::Result<()> {
+        self.reserve(len)?;
+        if len >= COMMIT_STAGING_BYTES {
+            let mut own = Vec::with_capacity(len);
+            codec::encode_chunk_into(values, &mut own);
+            assert_eq!(own.len(), len, "chunk encoding is deterministic");
+            return self.out.write_all(&own);
+        }
+        let at = self.buf.len();
+        codec::encode_chunk_into(values, &mut self.buf);
+        // The index already records this length; a different one would
+        // shift every later chunk.
+        assert_eq!(self.buf.len() - at, len, "chunk encoding is deterministic");
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.out.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Copies a run of back-to-back chunks from `src`, reading into the
+    /// buffer as much of the run as each fill holds and checking every
+    /// chunk's CRC over the bytes as they arrive, across fills.
+    fn copy_run(
+        &mut self,
+        src: &dyn VfsFile,
+        run: &[ChunkRef],
+        file: &str,
+    ) -> Result<(), StoreError> {
+        let Some(first) = run.first() else {
+            return Ok(());
+        };
+        let end = first.offset + run.iter().map(|c| c.len).sum::<u64>();
+        let mut pos = first.offset;
+        // Bytes read into the buffer but not yet checksummed.
+        let mut unchecked = 0..0;
+        for chunk in run {
+            let mut crc = 0;
+            let mut need = chunk.len;
+            while need > 0 {
+                if unchecked.is_empty() {
+                    if self.buf.len() == COMMIT_STAGING_BYTES {
+                        self.flush()?;
+                    }
+                    let at = self.buf.len();
+                    let n = (COMMIT_STAGING_BYTES - at).min((end - pos) as usize);
+                    self.buf.resize(at + n, 0);
+                    src.read_exact_at(&mut self.buf[at..], pos)?;
+                    self.copy_reads += 1;
+                    self.copied_bytes += n as u64;
+                    pos += n as u64;
+                    unchecked = at..at + n;
+                }
+                let take = unchecked.len().min(need as usize);
+                let bytes = &self.buf[unchecked.start..unchecked.start + take];
+                crc = codec::crc32_extend(crc, bytes);
+                unchecked.start += take;
+                need -= take as u64;
+            }
+            if crc != chunk.crc {
+                return Err(StoreError::ChecksumMismatch {
+                    file: file.to_string(),
+                    what: format!("chunk at offset {} during commit", chunk.offset),
+                });
+            }
+        }
         Ok(())
     }
 }
@@ -1500,6 +1693,45 @@ mod tests {
         let reopened = Store::open(&path).unwrap();
         assert!(!tmp_path(&path).exists(), "tmp cleaned up on open");
         assert_eq!(*reopened.read_series(&key("a", 0, 1)).unwrap(), vec![9.0]);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corrupt_chunk_inside_a_copied_run_fails_the_commit() {
+        let path = temp_store("corrupt_run");
+        let mut store = Store::open(&path).unwrap();
+        for event in 0..3 {
+            store
+                .append_series(key("a", 0, event), &[1.5, 2.5, 3.5, 4.5])
+                .unwrap();
+        }
+        store.commit().unwrap();
+        let chunks: Vec<ChunkRef> = (0..3)
+            .map(|e| store.chunks[&key("a", 0, e)].disk[0])
+            .collect();
+        assert_eq!(chunks[0].offset + chunks[0].len, chunks[1].offset);
+        assert_eq!(chunks[1].offset + chunks[1].len, chunks[2].offset);
+
+        // Flip one byte in the middle chunk only; its neighbours stay
+        // CRC-valid, and all three still form one copy run.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[(chunks[1].offset + chunks[1].len / 2) as usize] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+
+        let mut store = Store::open(&path).unwrap();
+        store.extend_series(key("a", 0, 2), &[5.5, 6.5]).unwrap();
+        match store.commit() {
+            Err(StoreError::ChecksumMismatch { what, .. }) => assert!(
+                what.contains(&format!("chunk at offset {}", chunks[1].offset)),
+                "{what}"
+            ),
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
+        }
+        assert_eq!(fs::read(&path).unwrap(), bytes, "previous file intact");
+        assert!(!tmp_path(&path).exists(), "failed commit removed its tmp");
+        // The handle still serves the intact neighbours and the tail.
+        assert_eq!(store.read_series(&key("a", 0, 0)).unwrap()[3], 4.5);
+        assert_eq!(store.read_series(&key("a", 0, 2)).unwrap().len(), 6);
         fs::remove_file(&path).unwrap();
     }
 }

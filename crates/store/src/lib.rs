@@ -80,7 +80,7 @@ mod vfs;
 
 pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use codec::Encoding;
-pub use columnar::{RunId, SeriesKey, Store, StoreInfo, MAX_CHUNK_CHAIN};
+pub use columnar::{RunId, SeriesKey, Store, StoreInfo, COMMIT_STAGING_BYTES, MAX_CHUNK_CHAIN};
 pub use database::{Database, ProgramSummary, RunKey};
 pub use error::StoreError;
 pub use query::ExecTimeStats;
