@@ -1,7 +1,7 @@
 //! CLI subcommand implementations.
 
 use crate::args::{ArgError, Args};
-use cm_events::{EventCatalog, SampleMode};
+use cm_events::{EventCatalog, EventId, RunRecord, SampleMode};
 use cm_load::{
     chaos_sweep, prepare_store, run_workload, saturation_sweep, LoadReport, LoopMode, RunMetrics,
     Workload as LoadWorkload,
@@ -9,7 +9,7 @@ use cm_load::{
 use cm_ml::{SgbrtConfig, Trainer};
 use cm_serve::{Pending, Request, Response, ServeConfig, Server, ServerHandle};
 use cm_sim::{Benchmark, PmuConfig, SparkParam, SparkStudy, Workload, ALL_BENCHMARKS};
-use cm_store::{Database, SeriesKey, Store};
+use cm_store::{SeriesKey, Store, StoreError};
 use counterminer::case_study::{
     rank_param_event_interactions, sweep_parameter, ProfilingCostModel,
 };
@@ -17,6 +17,7 @@ use counterminer::error_metrics::mlpx_error;
 use counterminer::{
     collector, CleanerKind, ClusterConfig, CounterMiner, DataCleaner, ImportanceConfig, MinerConfig,
 };
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::path::Path;
 use std::time::Duration;
@@ -33,17 +34,13 @@ COMMANDS:
   catalog [--abbrev ISF]            list the 229-event Haswell-E catalog,
                                     or look one event up
   benchmarks                        list the sixteen simulated benchmarks
-  collect <benchmark> --out DIR     profile a benchmark on the simulated
-        [--runs N] [--events N]     PMU and persist the two-level store
-        [--ocoe] [--seed S]
-  show <DIR> [--program NAME]       summarize a persisted store
-  clean <DIR> --out DIR2            clean every multiplexed run of a
+  collect <benchmark> --store FILE  profile a benchmark on the simulated
+        [--runs N] [--events N]     PMU and append the runs to the
+        [--ocoe] [--seed S]         columnar store FILE
+  clean <FILE> --out FILE2          clean every multiplexed run of a
                                     store, writing the cleaned store
-  import <FILE> --out DIR           parse `perf stat -I -x,` interval
-        [--program NAME] [--sep C]  output into the two-level store
-  inspect <DIR> --program NAME      textual histogram and statistics of
-        --event ABBR [--run N]      one stored event series
-        [--bins B]
+  import <FILE> --store FILE        parse `perf stat -I -x,` interval
+        [--program NAME] [--sep C]  output into the columnar store
   error <benchmark> [--events N]    measure the MLPX error of
         [--seed S]                  ICACHE.MISSES before/after cleaning
   analyze <benchmark> [--events N]  the full pipeline: importance and
@@ -79,8 +76,11 @@ COMMANDS:
                                     atomic append and cleaning advances
                                     incrementally; an interrupted follow
                                     resumes from the committed rows
-  query <FILE> [--program NAME]     list the programs of a columnar
-        [--run N] [--event ABBR]    store, or summarize one stored series
+  query <FILE>                      list the programs of a columnar
+                                    store: runs, events, exec times
+        [--program NAME             or summarize one stored series:
+         --event ABBR [--run N]     statistics, a textual histogram of
+         [--bins B]]                B bins, and the program's exec times
   store-info <FILE> [--json]        columnar store facts: format version,
                                     series/chunk counts, encodings,
                                     file size, metadata; --json emits a
@@ -214,12 +214,36 @@ pub fn benchmarks() -> CmdResult {
     Ok(())
 }
 
-/// `counterminer collect <benchmark> --out DIR [...]`
+/// Opens a store the command only reads: a missing file is an error,
+/// not an empty store.
+fn open_existing(path: &str) -> Result<Store, Box<dyn Error>> {
+    if !Path::new(path).exists() {
+        return Err(ArgError(format!("no store at {path}")).into());
+    }
+    Ok(Store::open(Path::new(path))?)
+}
+
+/// Stages `runs` into the store at `path` and commits them. A run that
+/// is already stored fails with [`cm_store::StoreError::DuplicateSeries`]
+/// before anything is written.
+fn append_runs<'a>(
+    path: &str,
+    runs: impl IntoIterator<Item = &'a RunRecord>,
+) -> Result<(), Box<dyn Error>> {
+    let mut store = Store::open(Path::new(path))?;
+    for run in runs {
+        store.append_run(run)?;
+    }
+    store.commit()?;
+    Ok(())
+}
+
+/// `counterminer collect <benchmark> --store FILE [...]`
 pub fn collect(args: &Args) -> CmdResult {
     let benchmark = benchmark_by_name(required_positional(args, 1, "benchmark name")?)?;
-    let out = args
-        .get("out")
-        .ok_or_else(|| ArgError("--out DIR is required".into()))?;
+    let path = args
+        .get("store")
+        .ok_or_else(|| ArgError("--store FILE is required".into()))?;
     let runs: usize = args.get_num("runs", 2)?;
     let n_events: usize = args.get_num("events", 10)?;
     let seed: u64 = args.get_num("seed", 0)?;
@@ -234,81 +258,46 @@ pub fn collect(args: &Args) -> CmdResult {
     let events = workload.top_event_ids(&catalog, n_events);
     let pmu = PmuConfig::default();
     let collected = collector::collect_runs(&workload, &events, mode, runs, &pmu, seed);
-
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &collected)?;
-    db.save_to_dir(Path::new(out))?;
-    println!("collected {runs} {mode} run(s) of {benchmark} measuring {n_events} events -> {out}");
+    append_runs(path, collected.iter().map(|run| &run.record))?;
+    println!("collected {runs} {mode} run(s) of {benchmark} measuring {n_events} events -> {path}");
     Ok(())
 }
 
-/// `counterminer show <DIR> [--program NAME]`
-pub fn show(args: &Args) -> CmdResult {
-    let dir = required_positional(args, 1, "store directory")?;
-    let db = Database::load_from_dir(Path::new(dir))?;
-    let programs = match args.get("program") {
-        Some(p) => vec![p.to_string()],
-        None => db.programs(),
-    };
-    println!("store {dir}: {} run(s)", db.run_count());
-    for program in programs {
-        match db.summary(&program) {
-            Some(summary) => {
-                println!(
-                    "  {program}: {} runs, {} events, exec times {:?}",
-                    summary.run_count,
-                    summary.events.len(),
-                    summary
-                        .exec_times_secs
-                        .iter()
-                        .map(|t| format!("{t:.1}s"))
-                        .collect::<Vec<_>>()
-                );
-                for table in &summary.table_names {
-                    println!("    table {table}");
-                }
-            }
-            None => println!("  {program}: not in store"),
-        }
-    }
-    Ok(())
-}
-
-/// `counterminer clean <DIR> --out DIR2`
+/// `counterminer clean <FILE> --out FILE2`
 pub fn clean(args: &Args) -> CmdResult {
-    let dir = required_positional(args, 1, "store directory")?;
+    let path = required_positional(args, 1, "store file")?;
     let out = args
         .get("out")
-        .ok_or_else(|| ArgError("--out DIR is required".into()))?;
-    let db = Database::load_from_dir(Path::new(dir))?;
+        .ok_or_else(|| ArgError("--out FILE is required".into()))?;
+    let store = open_existing(path)?;
     let cleaner = DataCleaner::default();
-    let mut cleaned_db = Database::new();
+    let mut cleaned = Vec::new();
     let mut outliers = 0usize;
     let mut missing = 0usize;
-    for (key, run) in db.iter() {
-        let mut run = run.clone();
-        if key.mode == SampleMode::Mlpx {
+    for id in store.run_ids() {
+        let mut run = store.read_run(id)?;
+        if id.mode == SampleMode::Mlpx {
             for report in cleaner.clean_run(&mut run)? {
                 outliers += report.outliers_replaced;
                 missing += report.missing_filled;
             }
         }
-        cleaned_db.insert_run(run)?;
+        cleaned.push(run);
     }
-    cleaned_db.save_to_dir(Path::new(out))?;
+    append_runs(out, &cleaned)?;
     println!(
         "cleaned {} run(s): {outliers} outliers replaced, {missing} missing values filled -> {out}",
-        db.run_count()
+        cleaned.len()
     );
     Ok(())
 }
 
-/// `counterminer import <FILE> --out DIR [...]`
+/// `counterminer import <FILE> --store FILE [...]`
 pub fn import(args: &Args) -> CmdResult {
     let file = required_positional(args, 1, "perf output file")?;
-    let out = args
-        .get("out")
-        .ok_or_else(|| ArgError("--out DIR is required".into()))?;
+    let path = args
+        .get("store")
+        .ok_or_else(|| ArgError("--store FILE is required".into()))?;
     let program = args.get("program").unwrap_or("imported");
     let sep = args
         .get("sep")
@@ -326,69 +315,8 @@ pub fn import(args: &Args) -> CmdResult {
     if !report.unknown_events.is_empty() {
         println!("unmatched event names: {:?}", report.unknown_events);
     }
-    let mut db = Database::new();
-    db.insert_run(report.run)?;
-    db.save_to_dir(Path::new(out))?;
-    println!("stored -> {out}");
-    Ok(())
-}
-
-/// `counterminer inspect <DIR> --program NAME --event ABBR [...]`
-pub fn inspect(args: &Args) -> CmdResult {
-    let dir = required_positional(args, 1, "store directory")?;
-    let program = args
-        .get("program")
-        .ok_or_else(|| ArgError("--program NAME is required".into()))?;
-    let abbrev = args
-        .get("event")
-        .ok_or_else(|| ArgError("--event ABBR is required".into()))?;
-    let run_index: u32 = args.get_num("run", 0)?;
-    let bins: usize = args.get_num("bins", 12)?;
-
-    let catalog = EventCatalog::haswell();
-    let info = catalog
-        .by_abbrev(abbrev)
-        .ok_or_else(|| ArgError(format!("no event with abbreviation {abbrev:?}")))?;
-    let db = Database::load_from_dir(Path::new(dir))?;
-    let run = db
-        .run(program, run_index, SampleMode::Mlpx)
-        .or_else(|| db.run(program, run_index, SampleMode::Ocoe))
-        .ok_or_else(|| ArgError(format!("run {run_index} of {program:?} not in store")))?;
-    let series = run
-        .series(info.id())
-        .ok_or_else(|| ArgError(format!("{abbrev} was not measured in that run")))?;
-
-    println!(
-        "{program} run {run_index} ({}) — {} ({})",
-        run.mode(),
-        info.name(),
-        info.description()
-    );
-    println!(
-        "samples {}   min {:.1}   mean {:.1}   max {:.1}   zeros {}",
-        series.len(),
-        series.min().unwrap_or(0.0),
-        series.mean().unwrap_or(0.0),
-        series.max().unwrap_or(0.0),
-        series.zero_count()
-    );
-    let (edges, counts) = cm_stats::descriptive::histogram(series.values(), bins)
-        .map_err(counterminer::CmError::Stats)?;
-    let peak = counts.iter().copied().max().unwrap_or(1).max(1);
-    for (i, &count) in counts.iter().enumerate() {
-        let bar = "#".repeat(count * 50 / peak);
-        println!(
-            "[{:>12.1}, {:>12.1})  {count:>5} {bar}",
-            edges[i],
-            edges[i + 1]
-        );
-    }
-    if let Some(stats) = db.exec_time_stats(program) {
-        println!(
-            "exec time over {} run(s): min {:.1}s mean {:.1}s max {:.1}s",
-            stats.runs, stats.min, stats.mean, stats.max
-        );
-    }
+    append_runs(path, [&report.run])?;
+    println!("stored -> {path}");
     Ok(())
 }
 
@@ -641,21 +569,45 @@ fn ingest_follow(args: &Args, benchmark: Benchmark, path: &str) -> CmdResult {
     Ok(())
 }
 
-/// `counterminer query <FILE> [--program NAME] [--run N] [--event ABBR]`
+/// Execution times of a program's runs, from the run table.
+fn exec_times(store: &Store, program: &str) -> Vec<f64> {
+    store
+        .run_ids()
+        .filter(|id| id.program == program)
+        .filter_map(|id| store.exec_time_secs(id))
+        .collect()
+}
+
+/// `counterminer query <FILE> [--program NAME --event ABBR [--run N] [--bins B]]`
 pub fn query(args: &Args) -> CmdResult {
     let path = required_positional(args, 1, "store file")?;
-    let store = Store::open(Path::new(path))?;
+    let store = open_existing(path)?;
     let Some(program) = args.get("program") else {
         // No program: list what the store holds.
-        println!("store {path}: {} series", store.series_count());
+        println!(
+            "store {path}: {} series, {} run(s)",
+            store.series_count(),
+            store.run_ids().count()
+        );
         for program in store.programs() {
-            let series = store.series_keys().filter(|k| k.program == program).count();
-            let runs: std::collections::BTreeSet<u32> = store
+            let keys: Vec<&SeriesKey> = store
                 .series_keys()
                 .filter(|k| k.program == program)
-                .map(|k| k.run_index)
                 .collect();
-            println!("  {program}: {series} series across {} run(s)", runs.len());
+            let runs: BTreeSet<(u32, SampleMode)> =
+                keys.iter().map(|k| (k.run_index, k.mode)).collect();
+            let events: BTreeSet<EventId> = keys.iter().map(|k| k.event).collect();
+            let times: Vec<String> = exec_times(&store, &program)
+                .iter()
+                .map(|t| format!("{t:.1}s"))
+                .collect();
+            println!(
+                "  {program}: {} run(s), {} events, {} series, exec times [{}]",
+                runs.len(),
+                events.len(),
+                keys.len(),
+                times.join(", ")
+            );
         }
         return Ok(());
     };
@@ -663,34 +615,62 @@ pub fn query(args: &Args) -> CmdResult {
         .get("event")
         .ok_or_else(|| ArgError("--event ABBR is required with --program".into()))?;
     let run_index: u32 = args.get_num("run", 0)?;
+    let bins: usize = args.get_num("bins", 12)?;
     let catalog = EventCatalog::haswell();
     let info = catalog
         .by_abbrev(abbrev)
         .ok_or_else(|| ArgError(format!("no event with abbreviation {abbrev:?}")))?;
-    let series = [SampleMode::Mlpx, SampleMode::Ocoe]
-        .iter()
-        .find_map(|&mode| {
-            store
-                .read_series_ts(&SeriesKey::new(program, run_index, mode, info.id()))
-                .ok()
+    // Prefer the MLPX series, fall back to OCOE. Only a missing series
+    // falls through: a damaged chunk is an error, not "not found".
+    let (mode, series) = [SampleMode::Mlpx, SampleMode::Ocoe]
+        .into_iter()
+        .find_map(|mode| {
+            match store.read_series_ts(&SeriesKey::new(program, run_index, mode, info.id())) {
+                Err(StoreError::SeriesNotFound { .. }) => None,
+                found => Some(found.map(|series| (mode, series))),
+            }
         })
+        .transpose()?
         .ok_or_else(|| {
             ArgError(format!(
                 "no series for {abbrev} in run {run_index} of {program:?}"
             ))
         })?;
+
     println!(
-        "{program} run {run_index} — {} ({} samples)",
+        "{program} run {run_index} ({mode}) — {} ({})",
         info.name(),
-        series.len()
+        info.description()
     );
     println!(
-        "min {:.1}   mean {:.1}   max {:.1}   zeros {}",
+        "samples {}   min {:.1}   mean {:.1}   max {:.1}   zeros {}",
+        series.len(),
         series.min().unwrap_or(0.0),
         series.mean().unwrap_or(0.0),
         series.max().unwrap_or(0.0),
         series.zero_count()
     );
+    let (edges, counts) = cm_stats::descriptive::histogram(series.values(), bins)
+        .map_err(counterminer::CmError::Stats)?;
+    let peak = counts.iter().copied().max().unwrap_or(1).max(1);
+    for (i, &count) in counts.iter().enumerate() {
+        let bar = "#".repeat(count * 50 / peak);
+        println!(
+            "[{:>12.1}, {:>12.1})  {count:>5} {bar}",
+            edges[i],
+            edges[i + 1]
+        );
+    }
+    let times = exec_times(&store, program);
+    if !times.is_empty() {
+        let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = times.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let mean = times.iter().sum::<f64>() / times.len() as f64;
+        println!(
+            "exec time over {} run(s): min {min:.1}s mean {mean:.1}s max {max:.1}s",
+            times.len()
+        );
+    }
     Ok(())
 }
 
@@ -1275,21 +1255,26 @@ mod tests {
         let parse = |tokens: &[&str]| {
             crate::args::Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
         };
-        // collect without --out.
+        // collect without --store.
         assert!(collect(&parse(&["collect", "sort"])).is_err());
         // collect of an unknown benchmark.
-        assert!(collect(&parse(&["collect", "nope", "--out", "/tmp/x"])).is_err());
+        assert!(collect(&parse(&["collect", "nope", "--store", "/tmp/x.cmstore"])).is_err());
         // error without a benchmark.
         assert!(error(&parse(&["error"])).is_err());
-        // show of a missing directory.
-        assert!(show(&parse(&["show", "/definitely/not/here"])).is_err());
-        // clean without --out.
+        // query of a missing store file.
+        assert!(query(&parse(&["query", "/definitely/not/here"])).is_err());
+        // clean without --out, then of a missing store file.
         assert!(clean(&parse(&["clean", "/tmp"])).is_err());
+        assert!(clean(&parse(&[
+            "clean",
+            "/definitely/not/here",
+            "--out",
+            "/tmp/x"
+        ]))
+        .is_err());
         // colocate with one benchmark missing.
         assert!(colocate(&parse(&["colocate", "sort"])).is_err());
-        // inspect without options.
-        assert!(inspect(&parse(&["inspect", "/tmp"])).is_err());
-        // import without --out or a missing file.
+        // import without --store or a missing file.
         assert!(import(&parse(&["import", "/no/such/file"])).is_err());
         // ingest without --store.
         assert!(ingest(&parse(&["ingest", "sort"])).is_err());
@@ -1359,15 +1344,47 @@ mod tests {
     }
 
     #[test]
+    fn query_reports_a_damaged_chunk_instead_of_not_found() {
+        let dir = std::env::temp_dir().join(format!("cm_cli_crc_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("damaged.cmstore");
+        let catalog = EventCatalog::haswell();
+        let info = catalog.by_abbrev(cm_events::abbrev::ICM).unwrap();
+        let mut store = Store::open(&path).unwrap();
+        let key = SeriesKey::new("wc", 0, SampleMode::Mlpx, info.id());
+        store.append_series(key, &[0.5; 16]).unwrap();
+        store.commit().unwrap();
+        // The only chunk starts right after the 32-byte superblock.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[33] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let p = path.to_string_lossy().into_owned();
+        let args = crate::args::Args::parse(
+            ["query", &p, "--program", "wc", "--event", info.abbrev()]
+                .iter()
+                .map(|s| s.to_string()),
+        )
+        .unwrap();
+        let err = query(&args).unwrap_err();
+        assert!(
+            matches!(
+                err.downcast_ref::<StoreError>(),
+                Some(StoreError::ChecksumMismatch { .. })
+            ),
+            "expected a checksum error, got: {err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn usage_mentions_every_command() {
         for cmd in [
             "catalog",
             "benchmarks",
             "collect",
-            "show",
             "clean",
             "import",
-            "inspect",
             "error",
             "analyze",
             "ingest",
@@ -1400,6 +1417,7 @@ mod tests {
         assert!(USAGE.contains("--cleaner"), "usage missing --cleaner");
         assert!(USAGE.contains("CM_CLEANER"), "usage missing CM_CLEANER");
         assert!(USAGE.contains("--store"), "usage missing --store");
+        assert!(USAGE.contains("--bins"), "usage missing --bins");
         assert!(USAGE.contains("--chaos-seed"), "usage missing --chaos-seed");
         assert!(USAGE.contains("CM_OBS"), "usage missing CM_OBS");
         assert!(

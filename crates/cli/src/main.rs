@@ -1,7 +1,7 @@
 //! `counterminer` — command-line interface to the CounterMiner pipeline.
 //!
 //! Run `counterminer help` for usage. Everything operates on the
-//! simulated Haswell-E PMU and the two-level text store; see the
+//! simulated Haswell-E PMU and `.cmstore` run stores; see the
 //! repository README for the library API.
 
 mod args;
@@ -48,10 +48,8 @@ fn main() {
         "catalog" => commands::catalog(&parsed),
         "benchmarks" => commands::benchmarks(),
         "collect" => commands::collect(&parsed),
-        "show" => commands::show(&parsed),
         "clean" => commands::clean(&parsed),
         "import" => commands::import(&parsed),
-        "inspect" => commands::inspect(&parsed),
         "error" => commands::error(&parsed),
         "analyze" => commands::analyze(&parsed),
         "ingest" => commands::ingest(&parsed),

@@ -1,12 +1,10 @@
-//! The data collector (Section III-A): drives the (simulated) profiler,
-//! stores runs in the two-level database, and assembles
-//! model-training datasets from measured runs.
+//! The data collector (Section III-A): drives the (simulated) profiler
+//! and assembles model-training datasets from measured runs.
 
 use crate::{CmError, DataCleaner};
 use cm_events::{EventId, EventSet, SampleMode};
 use cm_ml::Dataset;
 use cm_sim::{PmuConfig, SimRun, Workload};
-use cm_store::Database;
 
 /// Collects `n_runs` runs of `workload` measuring `events` in the given
 /// mode. Runs are simulated in parallel; run `i` uses run index `i`, so
@@ -21,18 +19,6 @@ pub fn collect_runs(
 ) -> Vec<SimRun> {
     cm_obs::counter_add("collector.runs", n_runs as u64);
     pmu.simulate_batch(workload, events, mode, n_runs, seed)
-}
-
-/// Stores measured runs into the two-level database.
-///
-/// # Errors
-///
-/// Returns a store error if a run key collides with an existing one.
-pub fn store_runs(db: &mut Database, runs: &[SimRun]) -> Result<(), CmError> {
-    for run in runs {
-        db.insert_run(run.record.clone())?;
-    }
-    Ok(())
 }
 
 /// Builds a supervised dataset from measured runs: one row per sampling
@@ -186,11 +172,19 @@ mod tests {
         let events = w.top_event_ids(&c, 6);
         let runs = collect_runs(&w, &events, SampleMode::Mlpx, 2, &pmu, 1);
         assert_eq!(runs.len(), 2);
-        let mut db = Database::new();
-        store_runs(&mut db, &runs).unwrap();
-        assert_eq!(db.run_count(), 2);
+        // Staged only: a store that is never committed writes no file.
+        let path = std::env::temp_dir().join(format!("cm_collect_{}", std::process::id()));
+        let mut store = cm_store::Store::open(&path).unwrap();
+        for run in &runs {
+            store.append_run(&run.record).unwrap();
+        }
+        assert_eq!(store.run_ids().count(), 2);
         // Same keys again collide.
-        assert!(store_runs(&mut db, &runs).is_err());
+        assert!(matches!(
+            store.append_run(&runs[0].record),
+            Err(cm_store::StoreError::DuplicateSeries { .. })
+        ));
+        assert!(!path.exists());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::{
 };
 use cm_events::{EventCatalog, EventId, RunRecord, SampleMode};
 use cm_sim::{Benchmark, PmuConfig, SimRun, Workload};
-use cm_store::{Database, Store};
+use cm_store::Store;
 use std::collections::BTreeMap;
 
 /// Pipeline configuration.
@@ -126,7 +126,6 @@ pub struct IngestSummary {
 pub struct CounterMiner {
     catalog: EventCatalog,
     config: MinerConfig,
-    db: Database,
 }
 
 impl CounterMiner {
@@ -135,7 +134,6 @@ impl CounterMiner {
         CounterMiner {
             catalog: EventCatalog::haswell(),
             config,
-            db: Database::new(),
         }
     }
 
@@ -147,11 +145,6 @@ impl CounterMiner {
     /// The pipeline configuration.
     pub fn config(&self) -> &MinerConfig {
         &self.config
-    }
-
-    /// The two-level store of collected runs.
-    pub fn database(&self) -> &Database {
-        &self.db
     }
 
     /// Resolves the concrete event set the collector will measure for a
@@ -167,25 +160,19 @@ impl CounterMiner {
         workload.top_event_ids(&self.catalog, n_events)
     }
 
-    /// Collects (and stores) the configured number of multiplexed runs
-    /// of a benchmark.
-    ///
-    /// # Errors
-    ///
-    /// Returns a store error when the same benchmark is collected twice.
-    pub fn collect(&mut self, benchmark: Benchmark) -> Result<Vec<SimRun>, CmError> {
+    /// Collects the configured number of multiplexed runs of a
+    /// benchmark.
+    pub fn collect(&self, benchmark: Benchmark) -> Vec<SimRun> {
         let workload = Workload::new(benchmark, &self.catalog);
         let events = self.resolve_events(benchmark);
-        let runs = collector::collect_runs(
+        collector::collect_runs(
             &workload,
             &events,
             SampleMode::Mlpx,
             self.config.runs_per_benchmark,
             &self.config.pmu,
             self.config.seed,
-        );
-        collector::store_runs(&mut self.db, &runs)?;
-        Ok(runs)
+        )
     }
 
     /// Runs the full pipeline on one benchmark: collect, clean, build
@@ -222,7 +209,7 @@ impl CounterMiner {
 
         let runs = {
             let _s = cm_obs::span!("collect");
-            self.collect(benchmark)?
+            self.collect(benchmark)
         };
         let events: Vec<EventId> = runs[0].record.events().collect();
 
@@ -620,8 +607,6 @@ mod tests {
         // Multiplexing 14 events on 4 counters produces dirty data the
         // cleaner acts on.
         assert!(report.outliers_replaced + report.missing_filled > 0);
-        // The collected runs are in the store.
-        assert_eq!(miner.database().run_count(), 1);
     }
 
     #[test]
@@ -851,9 +836,11 @@ mod tests {
     }
 
     #[test]
-    fn double_collect_is_rejected() {
+    fn repeated_analyze_on_one_miner_is_identical() {
         let mut miner = CounterMiner::new(tiny_config());
-        miner.collect(Benchmark::Scan).unwrap();
-        assert!(miner.collect(Benchmark::Scan).is_err());
+        let first = miner.analyze(Benchmark::Scan).unwrap();
+        let second = miner.analyze(Benchmark::Scan).unwrap();
+        assert_eq!(first.eir.ranking, second.eir.ranking);
+        assert_eq!(first.interactions, second.interactions);
     }
 }

@@ -6,9 +6,8 @@
 //! [`Server`] owns a set of `.cmstore` files plus one [`CounterMiner`]
 //! configuration, and any number of [`Client`]s — one per simulated
 //! connection, cheaply cloneable — submit [`Request`]s concurrently and
-//! wait on [`Response`]s. Transport is an in-process channel behind the
-//! [`Transport`] trait, so a socket server can slot in later without
-//! touching the scheduling core.
+//! wait on [`Response`]s. Transport is an in-process channel:
+//! [`Client::call`] submits a request and blocks on its response.
 //!
 //! # Scheduling: batching and deduplication
 //!
@@ -75,7 +74,6 @@ mod server;
 
 pub use proto::{
     Notification, NotifyReason, RankedAnalysis, Request, Response, ServeError, SubscriptionId,
-    Transport,
 };
 pub use server::{
     Client, Pending, ServeConfig, ServeStats, Server, ServerHandle, SubscriptionHandle,

@@ -1,4 +1,4 @@
-//! The request/response protocol and its transport seam.
+//! The request/response protocol.
 
 use cm_events::EventId;
 use cm_sim::Benchmark;
@@ -251,19 +251,6 @@ impl fmt::Display for ServeError {
 }
 
 impl Error for ServeError {}
-
-/// The transport seam: anything that can carry a request to a server
-/// and bring back its response. The in-process [`Client`](crate::Client)
-/// is the only implementation today; a socket client would be another.
-pub trait Transport {
-    /// Submits `req` and blocks until its response arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns the request's [`ServeError`] — including
-    /// [`ServeError::Closed`] if the server went away.
-    fn send(&self, req: Request) -> Result<Response, ServeError>;
-}
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,6 @@
 
 use crate::proto::{
     Notification, NotifyReason, RankedAnalysis, Request, Response, ServeError, SubscriptionId,
-    Transport,
 };
 use cm_obs::{span_enter_detached, span_enter_under, SpanGuard, SpanHandle};
 use cm_sim::Benchmark;
@@ -491,12 +490,6 @@ impl SubscriptionHandle {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-    }
-}
-
-impl Transport for Client {
-    fn send(&self, req: Request) -> Result<Response, ServeError> {
-        self.call(req)
     }
 }
 
@@ -1443,15 +1436,6 @@ mod tests {
         let client = handle.client();
         drop(handle);
         assert_eq!(client.call(Request::Ping), Err(ServeError::Closed));
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn transport_trait_is_object_safe_and_routes() {
-        let (handle, path) = tiny_server("transport");
-        let transport: Box<dyn Transport> = Box::new(handle.client());
-        assert!(matches!(transport.send(Request::Ping), Ok(Response::Pong)));
-        handle.shutdown();
         let _ = std::fs::remove_file(path);
     }
 }

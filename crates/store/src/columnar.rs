@@ -1,10 +1,9 @@
 //! The persistent chunked columnar store.
 //!
-//! [`Store`] is the durable sibling of the in-memory [`crate::Database`]:
-//! one binary file holding every collected series as an independently
-//! encoded, CRC-guarded column chunk, plus the run table (execution
-//! times) and a string metadata map the pipeline uses for snapshot
-//! fingerprints. See [`crate::format`] for the byte layout and
+//! [`Store`] is one binary file holding every collected series as an
+//! independently encoded, CRC-guarded column chunk, plus the run table
+//! (execution times) and a string metadata map the pipeline uses for
+//! snapshot fingerprints. See [`crate::format`] for the byte layout and
 //! `docs/STORAGE_FORMAT.md` for the full specification.
 //!
 //! Writes are staged in memory and made durable by [`Store::commit`],

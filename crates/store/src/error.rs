@@ -6,13 +6,6 @@ use std::io;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum StoreError {
-    /// A run with the same (program, run index, mode) key already exists.
-    DuplicateRun {
-        /// Program name of the rejected run.
-        program: String,
-        /// Run index of the rejected run.
-        run_index: u32,
-    },
     /// A series with the same (program, run index, mode, event) key is
     /// already stored in the columnar store.
     DuplicateSeries {
@@ -32,17 +25,8 @@ pub enum StoreError {
         /// Event index looked up.
         event: usize,
     },
-    /// Underlying filesystem failure during save/load.
+    /// Underlying filesystem failure.
     Io(io::Error),
-    /// A persisted file did not parse.
-    Parse {
-        /// File the error occurred in.
-        file: String,
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        reason: String,
-    },
     /// The file is not a columnar store (bad magic bytes).
     NotAStore {
         /// Offending file.
@@ -105,9 +89,6 @@ impl StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::DuplicateRun { program, run_index } => {
-                write!(f, "run {run_index} of program {program} already stored")
-            }
             StoreError::DuplicateSeries {
                 program,
                 run_index,
@@ -125,9 +106,6 @@ impl fmt::Display for StoreError {
                 "no series for event {event} of {program} run {run_index} in the store"
             ),
             StoreError::Io(e) => write!(f, "storage i/o failed: {e}"),
-            StoreError::Parse { file, line, reason } => {
-                write!(f, "parse error in {file} line {line}: {reason}")
-            }
             StoreError::NotAStore { file } => {
                 write!(f, "{file} is not a columnar store (bad magic)")
             }
@@ -173,19 +151,14 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = StoreError::DuplicateRun {
+        let e = StoreError::DuplicateSeries {
             program: "sort".into(),
             run_index: 3,
+            event: 42,
         };
         assert!(e.to_string().contains("sort"));
         assert!(e.to_string().contains('3'));
-
-        let e = StoreError::Parse {
-            file: "catalog.tsv".into(),
-            line: 7,
-            reason: "expected 5 fields".into(),
-        };
-        assert!(e.to_string().contains("line 7"));
+        assert!(e.to_string().contains("42"));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Property tests for the two-level store: arbitrary finite data must
-//! survive a disk round trip exactly. Each property is checked on
-//! `CASES` inputs drawn from a [`Rng`] seeded with the case number, so a
-//! failing case replays from its seed.
+//! Property tests for the run store: arbitrary finite data must survive
+//! an `append_run` → `commit` → reopen → `read_run` round trip exactly.
+//! Each property is checked on `CASES` inputs drawn from a [`Rng`]
+//! seeded with the case number, so a failing case replays from its seed.
 
 use cm_events::{EventId, RunRecord, SampleMode, TimeSeries};
 use cm_rng::Rng;
-use cm_store::Database;
+use cm_store::{RunId, Store, StoreError};
 
 const CASES: u64 = 24;
 
@@ -53,25 +53,25 @@ fn roundtrip_preserves_arbitrary_runs() {
         run.insert_series(EventId::new(0), TimeSeries::from_values(series_a));
         run.insert_series(EventId::new(228), TimeSeries::from_values(series_b));
 
-        let mut db = Database::new();
-        db.insert_run(run).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "cm_store_prop_{}_{run_index}.cmstore",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let mut store = Store::open(&path).unwrap();
+        store.append_run(&run).unwrap();
+        store.commit().unwrap();
+        let loaded = Store::open(&path).unwrap();
+        let got = loaded
+            .read_run(&RunId::new(program.clone(), run_index, mode))
+            .expect("run present");
+        std::fs::remove_file(&path).ok();
 
-        let dir =
-            std::env::temp_dir().join(format!("cm_store_prop_{}_{run_index}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        db.save_to_dir(&dir).unwrap();
-        let loaded = Database::load_from_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let got = loaded.run(&program, run_index, mode).expect("run present");
         assert_eq!(got.exec_time_secs(), exec_time, "case {case}");
         for event in [EventId::new(0), EventId::new(228)] {
-            let original = db
-                .run(&program, run_index, mode)
-                .unwrap()
-                .series(event)
-                .unwrap();
-            assert_eq!(got.series(event).unwrap(), original, "case {case}");
+            let (want, have) = (run.series(event).unwrap(), got.series(event).unwrap());
+            let bits = |ts: &TimeSeries| ts.iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(have), bits(want), "case {case}");
         }
     }
 }
@@ -82,10 +82,21 @@ fn duplicate_keys_always_rejected() {
         let rng = &mut Rng::seed_from_u64(case);
         let program = word(rng, &LETTERS[..26], 1, 8);
         let run_index = rng.below(4) as u32;
-        let mut db = Database::new();
-        let run = RunRecord::new(program.clone(), run_index, SampleMode::Ocoe);
-        db.insert_run(run.clone()).unwrap();
-        assert!(db.insert_run(run).is_err(), "case {case}");
-        assert_eq!(db.run_count(), 1, "case {case}");
+        let mut run = RunRecord::new(program.clone(), run_index, SampleMode::Ocoe);
+        run.insert_series(EventId::new(0), TimeSeries::from_values(series(rng)));
+        let path = std::env::temp_dir().join(format!(
+            "cm_store_dup_{}_{case}.cmstore",
+            std::process::id()
+        ));
+        let mut store = Store::open(&path).unwrap();
+        store.append_run(&run).unwrap();
+        assert!(
+            matches!(
+                store.append_run(&run),
+                Err(StoreError::DuplicateSeries { .. })
+            ),
+            "case {case}"
+        );
+        assert_eq!(store.run_ids().count(), 1, "case {case}");
     }
 }

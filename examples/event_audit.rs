@@ -5,14 +5,14 @@
 //! compares GEV, Gumbel, and logistic fits, reproducing the paper's
 //! observation that event values split into Gaussian and GEV-like
 //! long-tail families. Also demonstrates persisting the measured runs in
-//! the two-level store and loading them back.
+//! a `.cmstore` run store and reading them back.
 //!
 //! Run with: `cargo run --release --example event_audit`
 
 use cm_events::{EventCatalog, SampleMode};
 use cm_sim::{Benchmark, PmuConfig, Workload};
 use cm_stats::anderson::{self, TailCandidate};
-use cm_store::Database;
+use cm_store::Store;
 use counterminer::collector;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,20 +52,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n{gaussian} Gaussian series, {long_tail} long-tail ({gev_best} best fit by GEV)");
     println!("paper: of 229 events, 100 were Gaussian and 129 long-tail, GEV fitting best");
 
-    // Persist and reload through the two-level store.
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &runs)?;
-    let dir = std::env::temp_dir().join("counterminer_event_audit");
-    db.save_to_dir(&dir)?;
-    let loaded = Database::load_from_dir(&dir)?;
-    let summary = loaded.summary(Benchmark::Kmeans.name()).expect("stored");
-    println!(
-        "\nstore round-trip: {} run(s) of {} with {} events, tables {:?}",
-        summary.run_count,
-        summary.program,
-        summary.events.len(),
-        summary.table_names
-    );
-    std::fs::remove_dir_all(&dir)?;
+    // Persist and reload through the run store.
+    let path = std::env::temp_dir().join("counterminer_event_audit.cmstore");
+    let _ = std::fs::remove_file(&path);
+    let mut store = Store::open(&path)?;
+    for run in &runs {
+        store.append_run(&run.record)?;
+    }
+    store.commit()?;
+    let loaded = Store::open(&path)?;
+    for id in loaded.run_ids() {
+        let record = loaded.read_run(id)?;
+        println!(
+            "\nstore round-trip: {} run {} ({}) with {} events, exec time {:.1}s",
+            id.program,
+            id.run_index,
+            id.mode,
+            record.event_count(),
+            record.exec_time_secs()
+        );
+    }
+    std::fs::remove_file(&path)?;
     Ok(())
 }

@@ -3,12 +3,14 @@
 //! Collects multiplexed counter data for HiBench `wordcount` on the
 //! simulated Haswell-E PMU, cleans it, trains SGBRT performance models
 //! with Event Importance Refinement, and prints the top events and
-//! interaction pairs.
+//! interaction pairs. The collected and cleaned runs persist in a
+//! `.cmstore` run store, so a rerun on the same file skips collection.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use cm_ml::SgbrtConfig;
 use cm_sim::Benchmark;
+use cm_store::Store;
 use counterminer::{CounterMiner, ImportanceConfig, MinerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -31,7 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut miner = CounterMiner::new(config);
     println!("analyzing {} ...", Benchmark::Wordcount);
-    let report = miner.analyze(Benchmark::Wordcount)?;
+    let path = std::env::temp_dir().join("counterminer_quickstart.cmstore");
+    let _ = std::fs::remove_file(&path);
+    let mut store = Store::open(&path)?;
+    let report = miner.analyze_with_store(Benchmark::Wordcount, &mut store)?;
 
     println!(
         "\ncleaning: {} outliers replaced, {} missing values filled",
@@ -69,9 +74,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    let info = store.info();
     println!(
-        "\nruns stored in the two-level database: {}",
-        miner.database().run_count()
+        "\nrun store {}: {} series, {} bytes on disk",
+        path.display(),
+        info.series,
+        info.file_bytes
     );
+    std::fs::remove_file(&path)?;
     Ok(())
 }

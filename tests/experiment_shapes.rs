@@ -152,3 +152,29 @@ fn fig13_sort_dominant_pair_is_oro_bbs() {
         "paper: ORO-bbs dominates sort"
     );
 }
+
+#[test]
+fn experiment_driver_runs_instant_ids_and_rejects_unknown_ones() {
+    let driver = env!("CARGO_BIN_EXE_experiments");
+    for (id, expected) in [
+        ("table2", table2_benchmarks::run().to_string()),
+        ("table3", table3_events::run().to_string()),
+        ("table4", table4_spark_params::run().to_string()),
+    ] {
+        let from_table = (find(id).unwrap().run)(&cfg()).unwrap();
+        assert_eq!(from_table, expected, "{id} via the table");
+        let out = std::process::Command::new(driver).arg(id).output().unwrap();
+        assert!(out.status.success(), "{id} exited {:?}", out.status);
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), expected, "{id}");
+    }
+    assert!(find("fig99").is_err());
+    let out = std::process::Command::new(driver)
+        .arg("fig99")
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    for experiment in EXPERIMENTS {
+        assert!(stderr.contains(experiment.id), "{stderr}");
+    }
+}

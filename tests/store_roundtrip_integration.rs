@@ -1,53 +1,89 @@
-//! Store integration: simulated runs survive a save/load round trip
-//! bit-for-bit, and the first-level summaries mirror what was collected.
+//! Store integration: simulated runs survive a commit/reopen round trip
+//! bit-for-bit, and the run table mirrors what was collected.
 
 use cm_events::{EventId, SampleMode};
-use cm_sim::{Benchmark, PmuConfig, Workload};
-use cm_store::Database;
+use cm_sim::{Benchmark, PmuConfig, SimRun, Workload};
+use cm_store::{RunId, Store};
 use counterminer::collector;
 use std::path::PathBuf;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("counterminer_it_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn temp_store(tag: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!(
+        "counterminer_it_{tag}_{}.cmstore",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// Appends `runs`, commits, and reopens the store from disk.
+fn commit_and_reopen(path: &PathBuf, runs: &[SimRun]) -> Store {
+    let mut store = Store::open(path).unwrap();
+    for run in runs {
+        store.append_run(&run.record).unwrap();
+    }
+    store.commit().unwrap();
+    Store::open(path).unwrap()
+}
+
+fn run_id(run: &SimRun) -> RunId {
+    RunId::new(
+        run.record.program(),
+        run.record.run_index(),
+        run.record.mode(),
+    )
 }
 
 #[test]
 fn simulated_runs_round_trip_through_disk() {
     let catalog = cm_events::EventCatalog::haswell();
     let pmu = PmuConfig::default();
-    let mut db = Database::new();
-
+    let mut runs = Vec::new();
     for benchmark in [Benchmark::Wordcount, Benchmark::WebServing] {
         let workload = Workload::new(benchmark, &catalog);
         let events = workload.top_event_ids(&catalog, 8);
-        let mlpx = collector::collect_runs(&workload, &events, SampleMode::Mlpx, 2, &pmu, 1);
-        let ocoe = collector::collect_runs(&workload, &events, SampleMode::Ocoe, 1, &pmu, 1);
-        collector::store_runs(&mut db, &mlpx).unwrap();
-        collector::store_runs(&mut db, &ocoe).unwrap();
+        runs.extend(collector::collect_runs(
+            &workload,
+            &events,
+            SampleMode::Mlpx,
+            2,
+            &pmu,
+            1,
+        ));
+        runs.extend(collector::collect_runs(
+            &workload,
+            &events,
+            SampleMode::Ocoe,
+            1,
+            &pmu,
+            1,
+        ));
     }
-    assert_eq!(db.run_count(), 6);
+    assert_eq!(runs.len(), 6);
 
-    let dir = temp_dir("roundtrip");
-    db.save_to_dir(&dir).unwrap();
-    let loaded = Database::load_from_dir(&dir).unwrap();
-    assert_eq!(loaded.run_count(), db.run_count());
+    let path = temp_store("roundtrip");
+    let loaded = commit_and_reopen(&path, &runs);
+    assert_eq!(loaded.run_ids().count(), runs.len());
 
-    for (key, run) in db.iter() {
+    for run in &runs {
+        let id = run_id(run);
         let got = loaded
-            .run(&key.program, key.run_index, key.mode)
-            .unwrap_or_else(|| panic!("missing {key:?}"));
-        assert_eq!(got.exec_time_secs(), run.exec_time_secs());
-        for (event, series) in run.iter() {
+            .read_run(&id)
+            .unwrap_or_else(|e| panic!("missing {id:?}: {e}"));
+        assert_eq!(
+            got.exec_time_secs().to_bits(),
+            run.record.exec_time_secs().to_bits()
+        );
+        for (event, series) in run.record.iter() {
+            let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                got.series(event).unwrap(),
-                series,
-                "{key:?} event {event} series drifted"
+                bits(got.series(event).unwrap().values()),
+                bits(series.values()),
+                "{id:?} event {event} series drifted"
             );
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -57,21 +93,33 @@ fn summaries_reflect_collected_runs() {
     let workload = Workload::new(Benchmark::Scan, &catalog);
     let events = workload.top_event_ids(&catalog, 5);
     let runs = collector::collect_runs(&workload, &events, SampleMode::Mlpx, 3, &pmu, 2);
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &runs).unwrap();
+    let path = temp_store("summary");
+    let store = commit_and_reopen(&path, &runs);
 
-    let summary = db.summary("scan").unwrap();
-    assert_eq!(summary.run_count, 3);
-    assert_eq!(summary.events.len(), 5);
-    assert_eq!(summary.table_names.len(), 3);
-    assert!(summary.exec_times_secs.iter().all(|&t| t > 0.0));
-    // The events recorded are exactly the measured set.
-    let expected: Vec<EventId> = {
-        let mut v: Vec<EventId> = events.iter().collect();
-        v.sort();
-        v
-    };
-    assert_eq!(summary.events, expected);
+    // First level: one run-table row per run, each with its exec time.
+    assert_eq!(store.programs(), vec!["scan".to_string()]);
+    let ids: Vec<&RunId> = store.run_ids().filter(|id| id.program == "scan").collect();
+    assert_eq!(ids.len(), 3);
+    let exec_times: Vec<f64> = ids
+        .iter()
+        .map(|id| store.exec_time_secs(id).unwrap())
+        .collect();
+    assert!(exec_times.iter().all(|&t| t > 0.0));
+    for (run, &secs) in runs.iter().zip(&exec_times) {
+        assert_eq!(secs, run.record.exec_time_secs());
+    }
+    // Second level: the events recorded are exactly the measured set.
+    let mut stored: Vec<EventId> = store
+        .series_keys()
+        .filter(|k| k.program == "scan")
+        .map(|k| k.event)
+        .collect();
+    stored.sort();
+    stored.dedup();
+    let mut expected: Vec<EventId> = events.iter().collect();
+    expected.sort();
+    assert_eq!(stored, expected);
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -89,16 +137,15 @@ fn variable_length_series_are_preserved() {
         "expected length jitter, got {lens:?}"
     );
 
-    let mut db = Database::new();
-    collector::store_runs(&mut db, &runs).unwrap();
-    let dir = temp_dir("lengths");
-    db.save_to_dir(&dir).unwrap();
-    let loaded = Database::load_from_dir(&dir).unwrap();
+    let path = temp_store("lengths");
+    let loaded = commit_and_reopen(&path, &runs);
     for (i, run) in runs.iter().enumerate() {
-        let got = loaded.run("bayes", i as u32, SampleMode::Ocoe).unwrap();
+        let got = loaded
+            .read_run(&RunId::new("bayes", i as u32, SampleMode::Ocoe))
+            .unwrap();
         for (event, series) in run.record.iter() {
             assert_eq!(got.series(event).unwrap().len(), series.len());
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_file(&path).unwrap();
 }
