@@ -94,8 +94,9 @@ fn bench_trainers(c: &mut Harness) {
     });
 }
 
-/// Per-row `Vec` rows vs. one packed flat buffer — the allocation the
-/// interaction sweeps used to pay per probe row.
+/// The one batch API on its two row layouts: per-row `Vec` rows vs.
+/// `chunks_exact` slices of one packed buffer, as the interaction
+/// sweeps pass their probes (the slice collection is timed too).
 fn bench_predict_flat(c: &mut Harness) {
     let mut group = c.benchmark_group("sgbrt_predict");
     group.sample_size(10);
@@ -111,7 +112,10 @@ fn bench_predict_flat(c: &mut Harness) {
         b.iter(|| model.predict_batch(std::hint::black_box(data.rows())));
     });
     group.bench_function("predict_batch_flat_2000x60", |b| {
-        b.iter(|| model.predict_batch_flat(std::hint::black_box(&flat)));
+        b.iter(|| {
+            let rows: Vec<&[f64]> = std::hint::black_box(&flat).chunks_exact(60).collect();
+            model.predict_batch(&rows)
+        });
     });
 }
 

@@ -25,7 +25,7 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Option keys that take no value (boolean flags).
-const BOOLEAN_FLAGS: &[&str] = &["quick", "help", "ocoe", "json", "follow"];
+const BOOLEAN_FLAGS: &[&str] = &["help", "ocoe", "json", "follow"];
 
 impl Args {
     /// Parses raw arguments (without the program name).
@@ -82,6 +82,11 @@ impl Args {
         }
     }
 
+    /// Every option and flag name given, without the leading `--`.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Whether a boolean flag was given.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -98,13 +103,14 @@ mod tests {
 
     #[test]
     fn positionals_and_options_mix() {
-        let args = parse(&["analyze", "sort", "--runs", "3", "--quick"]).unwrap();
-        assert_eq!(args.positional(0), Some("analyze"));
+        let args = parse(&["ingest", "sort", "--runs", "3", "--follow"]).unwrap();
+        assert_eq!(args.positional(0), Some("ingest"));
         assert_eq!(args.positional(1), Some("sort"));
         assert_eq!(args.positional_count(), 2);
         assert_eq!(args.get("runs"), Some("3"));
-        assert!(args.flag("quick"));
+        assert!(args.flag("follow"));
         assert!(!args.flag("help"));
+        assert_eq!(args.keys().collect::<Vec<_>>(), ["runs", "follow"]);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use cm_load::{
     chaos_sweep, prepare_store, run_workload, saturation_sweep, LoadReport, LoopMode, RunMetrics,
     Workload as LoadWorkload,
 };
-use cm_ml::{SgbrtConfig, Trainer};
+use cm_ml::SgbrtConfig;
 use cm_serve::{Pending, Request, Response, ServeConfig, Server, ServerHandle};
 use cm_sim::{Benchmark, PmuConfig, SparkParam, SparkStudy, Workload, ALL_BENCHMARKS};
 use cm_store::{SeriesKey, Store, StoreError};
@@ -46,10 +46,6 @@ COMMANDS:
   analyze <benchmark> [--events N]  the full pipeline: importance and
         [--runs N] [--trees N]      interaction rankings
         [--seed S] [--store FILE]
-        [--trainer exact|hist]      GBRT split search: exact thresholds
-                                    or histogram bins (default: hist;
-                                    the CM_TRAINER environment variable
-                                    also works)
         [--cleaner point|bayes]     reconstruction estimator: point
                                     (default) or bayes, which attaches a
                                     variance to every reconstructed
@@ -165,6 +161,71 @@ fn benchmark_by_name(name: &str) -> Result<Benchmark, ArgError> {
 fn required_positional<'a>(args: &'a Args, index: usize, what: &str) -> Result<&'a str, ArgError> {
     args.positional(index)
         .ok_or_else(|| ArgError(format!("missing {what}")))
+}
+
+/// Options every command accepts: `--threads N` and `--metrics MODE`.
+const GLOBAL_OPTIONS: &[&str] = &["threads", "metrics"];
+
+/// Options [`miner_config`] reads, accepted by every command that
+/// builds a pipeline configuration from them.
+const MINER_OPTIONS: &[&str] = &["events", "runs", "trees", "seed", "cleaner"];
+
+/// Rejects the first option (or flag) `command` does not read, naming
+/// it — so a typo like `--sede` fails instead of silently running with
+/// the default.
+///
+/// # Errors
+///
+/// Returns [`ArgError`] naming the unknown option.
+pub fn check_options(command: &str, args: &Args) -> Result<(), ArgError> {
+    let accepted: &[&[&str]] = match command {
+        "catalog" => &[&["abbrev"]],
+        "benchmarks" => &[],
+        "collect" => &[&["store", "runs", "events", "seed", "ocoe"]],
+        "clean" => &[&["out"]],
+        "import" => &[&["store", "program", "sep"]],
+        "error" | "colocate" => &[&["events", "seed"]],
+        "analyze" => &[MINER_OPTIONS, &["store", "chaos-seed"]],
+        "ingest" => &[MINER_OPTIONS, &["store", "follow", "chunk"]],
+        "query" => &[&["program", "event", "run", "bins"]],
+        "store-info" => &[&["json"]],
+        "serve" => &[
+            MINER_OPTIONS,
+            &["store", "benchmark", "requests", "workers"],
+        ],
+        "watch" => &[MINER_OPTIONS, &["store", "top", "chunk", "workers"]],
+        "load" => &[
+            MINER_OPTIONS,
+            &[
+                "store",
+                "benchmark",
+                "clients",
+                "ops",
+                "workers",
+                "warmup-ms",
+                "cooldown-ms",
+                "mode",
+                "rate",
+                "chaos-seeds",
+                "scratch",
+                "curve",
+                "out",
+            ],
+        ],
+        "cluster" => &[MINER_OPTIONS, &["store", "k", "sigmas", "inject", "json"]],
+        "spark" => &[&["seed"]],
+        // `help` ignores its arguments; an unknown command is reported
+        // by the dispatcher.
+        _ => return Ok(()),
+    };
+    let known =
+        |key: &str| GLOBAL_OPTIONS.contains(&key) || accepted.iter().any(|g| g.contains(&key));
+    match args.keys().find(|key| !known(key)) {
+        Some(key) => Err(ArgError(format!(
+            "unknown option --{key} for `{command}` (see `counterminer help`)"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// `counterminer catalog [--abbrev X]`
@@ -361,10 +422,6 @@ fn miner_config(args: &Args) -> Result<MinerConfig, ArgError> {
     let runs: usize = args.get_num("runs", 2)?;
     let trees: usize = args.get_num("trees", 80)?;
     let seed: u64 = args.get_num("seed", 0)?;
-    let trainer: Trainer = match args.get("trainer") {
-        Some(s) => s.parse().map_err(|e| ArgError(format!("{e}")))?,
-        None => Trainer::default(),
-    };
     let cleaner: CleanerKind = match args.get("cleaner") {
         Some(s) => s.parse().map_err(|e| ArgError(format!("{e}")))?,
         None => CleanerKind::default(),
@@ -376,7 +433,6 @@ fn miner_config(args: &Args) -> Result<MinerConfig, ArgError> {
         importance: ImportanceConfig {
             sgbrt: SgbrtConfig {
                 n_trees: trees,
-                trainer,
                 ..SgbrtConfig::default()
             },
             seed,
@@ -1412,7 +1468,6 @@ mod tests {
             "usage missing --chaos-seeds"
         );
         assert!(USAGE.contains("--threads"), "usage missing --threads");
-        assert!(USAGE.contains("--trainer"), "usage missing --trainer");
         assert!(USAGE.contains("--metrics"), "usage missing --metrics");
         assert!(USAGE.contains("--cleaner"), "usage missing --cleaner");
         assert!(USAGE.contains("CM_CLEANER"), "usage missing CM_CLEANER");
@@ -1462,15 +1517,40 @@ mod tests {
         assert!(err.contains("bayes"), "unexpected error: {err}");
     }
 
+    /// `--trainer` is gone: the exact trainer is a test oracle only, so
+    /// the option is unknown rather than silently ignored.
     #[test]
     fn analyze_rejects_unknown_trainer() {
         let args = crate::args::Args::parse(
-            ["analyze", "sort", "--trainer", "warp"]
+            ["analyze", "sort", "--trainer", "exact"]
                 .iter()
                 .map(|s| s.to_string()),
         )
         .unwrap();
-        let err = analyze(&args).unwrap_err().to_string();
-        assert!(err.contains("exact"), "unexpected error: {err}");
+        let err = check_options("analyze", &args).unwrap_err().to_string();
+        assert!(
+            err.contains("unknown option --trainer"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let parse = |tokens: &[&str]| {
+            crate::args::Args::parse(tokens.iter().map(|s| s.to_string())).unwrap()
+        };
+        let err = check_options("error", &parse(&["error", "sort", "--sede", "3"]))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("--sede"), "unexpected error: {err}");
+        // Flags count too, and the global options pass everywhere.
+        assert!(check_options("analyze", &parse(&["analyze", "sort", "--json"])).is_err());
+        check_options(
+            "analyze",
+            &parse(&["analyze", "sort", "--threads", "2", "--metrics", "off"]),
+        )
+        .unwrap();
+        check_options("help", &parse(&["analyze", "--x", "1", "--help"])).unwrap();
+        check_options("nonsense", &parse(&["nonsense", "--x", "1"])).unwrap();
     }
 }

@@ -20,6 +20,17 @@ fn main() {
         }
     };
 
+    // `--help` anywhere asks for the usage text, whatever else was given.
+    let command = if parsed.flag("help") {
+        "help"
+    } else {
+        parsed.positional(0).unwrap_or("help")
+    }
+    .to_string();
+    if let Err(e) = commands::check_options(&command, &parsed) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     if parsed.positional_count() > 3 {
         eprintln!("note: extra positional arguments are ignored");
     }
@@ -43,7 +54,6 @@ fn main() {
             }
         }
     }
-    let command = parsed.positional(0).unwrap_or("help").to_string();
     let result = match command.as_str() {
         "catalog" => commands::catalog(&parsed),
         "benchmarks" => commands::benchmarks(),

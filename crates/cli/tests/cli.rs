@@ -161,3 +161,26 @@ fn colliding_collect_is_a_typed_error_and_leaves_the_store_intact() {
     );
     assert_eq!(std::fs::read(&store).unwrap(), before);
 }
+
+/// A misspelt or retired option fails with exit code 2 and names the
+/// option, instead of running with the default it was meant to change.
+#[test]
+fn unknown_options_exit_2_and_are_named() {
+    for (args, option) in [
+        (
+            &["error", "sort", "--events", "8", "--sede", "3"][..],
+            "--sede",
+        ),
+        (&["analyze", "sort", "--trainer", "exact"][..], "--trainer"),
+    ] {
+        let out = counterminer(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {option}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // `--help` is not an unknown option anywhere: it prints the usage.
+    assert!(ok(&["analyze", "sort", "--help"]).contains("USAGE"));
+}

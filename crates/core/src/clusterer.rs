@@ -197,7 +197,8 @@ impl CounterMiner {
     /// Runs the `cluster` analysis mode over `benchmarks`: ingests any
     /// benchmark not yet snapshotted in `store` (warm snapshots are
     /// reused bit-identically), then clusters all cleaned runs and
-    /// flags anomalies. See the [module docs](self) for the method.
+    /// flags anomalies: robustly normalized run signatures, seeded
+    /// k-medoids, and a per-cluster distance threshold.
     ///
     /// # Errors
     ///
@@ -419,9 +420,12 @@ fn common_events<'a>(mut event_lists: impl Iterator<Item = &'a [EventId]>) -> Ve
     common
 }
 
+/// A run's signature vector (see [`run_signature`]).
+type Signature = Vec<f64>;
+
 /// One run's raw signature: per common event `[ln(1 + mean count),
 /// coefficient of variation]`, then `[ln(intervals), mean IPC]`.
-fn run_signature(run: &SimRun, events: &[EventId]) -> Vec<f64> {
+fn run_signature(run: &SimRun, events: &[EventId]) -> Signature {
     let mut sig = Vec::with_capacity(2 * events.len() + 2);
     for &event in events {
         let values = run
@@ -460,9 +464,9 @@ fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 /// corpus statistics — injected anomalies must not skew the scale that
 /// is supposed to expose them.
 fn normalize_signatures(
-    mut corpus: Vec<Vec<f64>>,
-    mut probes: Vec<Vec<f64>>,
-) -> Result<(Vec<Vec<f64>>, Vec<Vec<f64>>), CmError> {
+    mut corpus: Vec<Signature>,
+    mut probes: Vec<Signature>,
+) -> Result<(Vec<Signature>, Vec<Signature>), CmError> {
     let dims = corpus.first().map_or(0, Vec::len);
     for d in 0..dims {
         let column: Vec<f64> = corpus.iter().map(|s| s[d]).collect();

@@ -141,8 +141,8 @@ impl InteractionRanker {
         let f0 = model.predict(&means);
 
         // Univariate partial responses, shared across pairs. Each event's
-        // sweep packs its probes into one flat buffer and predicts them
-        // as a single batch over the flattened ensemble.
+        // sweep packs its probes into one flat buffer and predicts its
+        // `chunks_exact` rows as a single batch.
         let nf = means.len();
         let partials: Vec<Vec<f64>> = cm_par::map(&cols, |&c| {
             let mut probes = Vec::with_capacity(data.n_rows() * nf);
@@ -151,7 +151,7 @@ impl InteractionRanker {
                 probes.extend_from_slice(&means);
                 probes[start + c] = row[c];
             }
-            model.predict_batch_flat(&probes)
+            model.predict_batch(&probes.chunks_exact(nf).collect::<Vec<_>>())
         });
 
         // The O(P²) cross-difference loop, fanned out per pair. Summation
@@ -170,7 +170,7 @@ impl InteractionRanker {
                 probes[start + ca] = row[ca];
                 probes[start + cb] = row[cb];
             }
-            let f_ab = model.predict_batch_flat(&probes);
+            let f_ab = model.predict_batch(&probes.chunks_exact(nf).collect::<Vec<_>>());
             let mut v = 0.0;
             for r in 0..data.n_rows() {
                 let cross = f_ab[r] - partials[i][r] - partials[j][r] + f0;
@@ -277,8 +277,8 @@ fn pair_intensity(
     cb: usize,
 ) -> Result<f64, CmError> {
     // Sweep the pair over its observed joint values, others at means.
-    // Probes are packed into one flat buffer — no per-row Vec — and
-    // predicted in a single batch over the flattened ensemble.
+    // Probes are packed into one flat buffer — no per-row Vec — and its
+    // `chunks_exact` rows are predicted in a single batch.
     let nf = means.len();
     let mut probes = Vec::with_capacity(data.n_rows() * nf);
     let mut pair_rows = Vec::with_capacity(data.n_rows());
@@ -289,7 +289,7 @@ fn pair_intensity(
         probes[start + cb] = row[cb];
         pair_rows.push(vec![row[ca], row[cb]]);
     }
-    let surface = model.predict_batch_flat(&probes);
+    let surface = model.predict_batch(&probes.chunks_exact(nf).collect::<Vec<_>>());
     let linear = MultipleLinear::fit(&pair_rows, &surface).map_err(CmError::Stats)?;
     linear
         .residual_sum_of_squares(&pair_rows, &surface)

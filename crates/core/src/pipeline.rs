@@ -244,15 +244,14 @@ impl CounterMiner {
             }
         }
 
-        self.model_and_rank(
-            benchmark,
-            &runs,
-            &events,
-            Some(&cleaner),
-            uncertainty.as_deref(),
+        let front = snapshot::Snapshot {
+            runs,
+            events,
             outliers_replaced,
             missing_filled,
-        )
+            uncertainty,
+        };
+        self.model_and_rank(benchmark, &front, Some(&cleaner))
     }
 
     /// Runs the pipeline against a persistent [`Store`], resuming from a
@@ -303,15 +302,7 @@ impl CounterMiner {
                 self.collect_and_persist(benchmark, fp, &measured, store)?
             }
         };
-        self.model_and_rank(
-            benchmark,
-            &snap.runs,
-            &snap.events,
-            None,
-            snap.uncertainty.as_deref(),
-            snap.outliers_replaced,
-            snap.missing_filled,
-        )
+        self.model_and_rank(benchmark, &snap, None)
     }
 
     /// The snapshot fingerprint the store-backed paths probe for: a hash
@@ -357,16 +348,7 @@ impl CounterMiner {
         };
         cm_obs::counter_add("pipeline.analyses", 1);
         cm_obs::counter_add("pipeline.resume.hits", 1);
-        self.model_and_rank(
-            benchmark,
-            &snap.runs,
-            &snap.events,
-            None,
-            snap.uncertainty.as_deref(),
-            snap.outliers_replaced,
-            snap.missing_filled,
-        )
-        .map(Some)
+        self.model_and_rank(benchmark, &snap, None).map(Some)
     }
 
     /// Collects and cleans a benchmark and persists the snapshot into
@@ -497,20 +479,19 @@ impl CounterMiner {
     }
 
     /// The shared back half of the pipeline: dataset assembly, EIR
-    /// importance ranking, and interaction ranking. `cleaner` is `Some`
-    /// when `runs` are raw (the in-memory path) and `None` when they were
-    /// cleaned already (the store-resume path). `uncertainty` carries the
-    /// per-event column variance aggregates in `bayes` mode.
+    /// importance ranking, and interaction ranking over `front`.
+    /// `cleaner` is `Some` when `front.runs` are raw (the in-memory
+    /// path) and `None` when they were cleaned already (the
+    /// store-resume path). `front.uncertainty` carries the per-event
+    /// column variance aggregates in `bayes` mode.
     fn model_and_rank(
         &self,
         benchmark: Benchmark,
-        runs: &[SimRun],
-        events: &[EventId],
+        front: &snapshot::Snapshot,
         cleaner: Option<&DataCleaner>,
-        uncertainty: Option<&[VarianceAggregate]>,
-        outliers_replaced: usize,
-        missing_filled: usize,
     ) -> Result<AnalysisReport, CmError> {
+        let runs = &front.runs;
+        let events = &front.events;
         let data = {
             let _s = cm_obs::span!("dataset");
             let data = collector::build_dataset(runs, events, cleaner)?;
@@ -518,7 +499,7 @@ impl CounterMiner {
             collector::normalize_columns(&data)?
         };
 
-        let column_uncertainty: Option<Vec<f64>> = uncertainty.map(|aggregates| {
+        let column_uncertainty: Option<Vec<f64>> = front.uncertainty.as_ref().map(|aggregates| {
             let total_variance: f64 = aggregates.iter().map(|a| a.sum_variance).sum();
             let reconstructed: u64 = aggregates.iter().map(|a| a.reconstructed).sum();
             // One point per analysis: how much uncertainty the cleaner
@@ -563,8 +544,8 @@ impl CounterMiner {
             cleaner: self.config.cleaner_kind,
             eir,
             interactions,
-            outliers_replaced,
-            missing_filled,
+            outliers_replaced: front.outliers_replaced,
+            missing_filled: front.missing_filled,
         })
     }
 }
@@ -633,8 +614,8 @@ mod tests {
         );
     }
 
-    /// The pipeline must run under either trainer; the default config
-    /// ([`cm_ml::Trainer::default`]) is exercised by the other tests, so
+    /// The pipeline must also run under the exact reference trainer;
+    /// the default (`Trainer::Hist`) is exercised by the other tests, so
     /// this pins the exact path explicitly.
     #[test]
     fn analysis_runs_with_exact_trainer() {

@@ -34,10 +34,12 @@ use std::collections::BTreeMap;
 const SNAPSHOT_MODE: SampleMode = SampleMode::Mlpx;
 
 /// A front-half pipeline result restored from (or about to enter) the
-/// columnar store.
+/// columnar store — and the input of the modeling back half.
 pub(crate) struct Snapshot {
     /// Cleaned runs, IPC attached, `true_counts` empty (ground truth is
-    /// a simulation artifact and is not persisted).
+    /// a simulation artifact and is not persisted). The in-memory
+    /// `analyze` path alone hands the back half raw runs, with the
+    /// cleaner that the dataset builder applies.
     pub runs: Vec<SimRun>,
     /// The measured events, in dataset column order.
     pub events: Vec<EventId>,
@@ -230,7 +232,7 @@ pub(crate) fn load(
     let missing_filled = parsed_meta(store, benchmark, "missing")?;
     // Bayes snapshots carry their column variance aggregates; their
     // absence under a bayes marker is corruption, not a miss.
-    let uncertainty = match store.meta(&meta_key(benchmark, "cleaner")).as_deref() {
+    let uncertainty = match store.meta(&meta_key(benchmark, "cleaner")) {
         Some("bayes") => {
             let encoded =
                 store
@@ -238,7 +240,7 @@ pub(crate) fn load(
                     .ok_or(CmError::Invalid(
                         "snapshot metadata is incomplete; re-ingest the benchmark",
                     ))?;
-            let aggregates = decode_aggregates(&encoded)?;
+            let aggregates = decode_aggregates(encoded)?;
             if aggregates.len() != events.len() {
                 return Err(CmError::Invalid(
                     "snapshot uncertainty does not match its event list; re-ingest the benchmark",

@@ -8,53 +8,35 @@ const PREDICT_CHUNK: usize = 64;
 
 /// Which split-search algorithm trains each boosting stage.
 ///
+/// `Hist` is the one trainer the pipeline runs. `Exact` is kept as the
+/// reference oracle: tests, the cross-validation oracle and the trainer
+/// benches select it through [`SgbrtConfig::trainer`] to check that
+/// binning moves split placement, not the objective.
+///
 /// # Examples
 ///
 /// ```
-/// use cm_ml::Trainer;
+/// use cm_ml::{SgbrtConfig, Trainer};
 ///
-/// assert_eq!("hist".parse::<Trainer>().unwrap(), Trainer::Hist);
-/// assert_eq!("EXACT".parse::<Trainer>().unwrap(), Trainer::Exact);
-/// assert!("warp".parse::<Trainer>().is_err());
+/// assert_eq!(SgbrtConfig::default().trainer, Trainer::Hist);
+/// let oracle = SgbrtConfig {
+///     trainer: Trainer::Exact,
+///     ..SgbrtConfig::default()
+/// };
+/// assert_ne!(oracle, SgbrtConfig::default());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Trainer {
-    /// Presorted exact search: every distinct value is a candidate
-    /// threshold, O(rows) per feature per node.
+    /// Presorted exact search, the reference oracle: every distinct
+    /// value is a candidate threshold, O(rows) per feature per node.
     Exact,
     /// Histogram-binned search (the default): features are quantized
     /// once into ≤ [`MAX_BINS`] bins, nodes scan O(bins) candidates over
     /// gradient histograms, and sibling histograms are derived by
     /// subtraction. Same objective, near-identical models, much faster
     /// on EIR-sized data.
+    #[default]
     Hist,
-}
-
-impl Default for Trainer {
-    /// `Hist`, unless the `CM_TRAINER` environment variable says
-    /// `exact` — the knob the CI feature matrix (and a cautious user)
-    /// flips without touching code.
-    fn default() -> Self {
-        static ENV: std::sync::OnceLock<Trainer> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| match std::env::var("CM_TRAINER").as_deref() {
-            Ok(v) if v.eq_ignore_ascii_case("exact") => Trainer::Exact,
-            _ => Trainer::Hist,
-        })
-    }
-}
-
-impl std::str::FromStr for Trainer {
-    type Err = MlError;
-
-    fn from_str(s: &str) -> Result<Self, MlError> {
-        if s.eq_ignore_ascii_case("exact") {
-            Ok(Trainer::Exact)
-        } else if s.eq_ignore_ascii_case("hist") {
-            Ok(Trainer::Hist)
-        } else {
-            Err(MlError::InvalidConfig("trainer must be `exact` or `hist`"))
-        }
-    }
 }
 
 /// Configuration for the stochastic gradient boosted ensemble
@@ -98,62 +80,6 @@ impl SgbrtConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Trains with early stopping: a `validation_fraction` of rows is
-    /// held out, and boosting stops once the validation MSE has not
-    /// improved for `patience` consecutive stages. The returned model is
-    /// truncated at the best validation stage, preventing the late-stage
-    /// overfitting that plain [`SgbrtConfig::fit`] allows.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SgbrtConfig::fit`], plus invalid
-    /// `validation_fraction` (must leave both sides non-empty) or zero
-    /// `patience`.
-    pub fn fit_early_stopping(
-        self,
-        data: &Dataset,
-        validation_fraction: f64,
-        patience: usize,
-    ) -> Result<Sgbrt, MlError> {
-        if patience == 0 {
-            return Err(MlError::InvalidConfig("patience must be at least 1"));
-        }
-        let mut rng = Rng::seed_from_u64(self.seed ^ 0x5EED);
-        let (train, validation) = data.train_test_split(validation_fraction, &mut rng)?;
-        let full = self.fit(&train)?;
-
-        // Walk the staged predictions over the validation set.
-        let mut preds: Vec<f64> = vec![full.base; validation.n_rows()];
-        let mut best_stage = 0usize;
-        let mut best_mse = crate::metrics::mse(validation.targets(), &preds)?;
-        let mut since_best = 0usize;
-        for (stage, tree) in full.trees.iter().enumerate() {
-            for (p, row) in preds.iter_mut().zip(validation.rows()) {
-                *p += full.learning_rate * tree.predict(row);
-            }
-            let mse = crate::metrics::mse(validation.targets(), &preds)?;
-            if mse < best_mse {
-                best_mse = mse;
-                best_stage = stage + 1;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= patience {
-                    break;
-                }
-            }
-        }
-        let mut trees = full.trees;
-        trees.truncate(best_stage.max(1));
-        // Reflatten: the SoA predictor must mirror the kept stages.
-        Ok(Sgbrt::from_parts(
-            full.base,
-            full.learning_rate,
-            trees,
-            full.n_features,
-        ))
     }
 
     /// Trains an ensemble on `data`, dispatching on
@@ -384,46 +310,58 @@ pub fn cross_validate(config: SgbrtConfig, data: &Dataset, k: usize) -> Result<V
 pub struct Sgbrt {
     base: f64,
     learning_rate: f64,
-    trees: Vec<RegressionTree>,
     n_features: usize,
-    /// The trees reflattened into one contiguous 16-byte-node array —
-    /// every prediction path walks this, never the node enums.
+    /// The trees flattened into one contiguous 16-byte-node array — the
+    /// model's only stored form; every prediction walks it.
     flat: FlatForest,
+    /// Friedman relative importances, normalized to sum to 100.
+    importances: Vec<f64>,
 }
 
 impl Sgbrt {
-    /// Assembles a model, flattening the trees into the compact predictor.
+    /// Assembles a model: flattens the trees into the compact predictor
+    /// and accumulates their Friedman importances (Eqs. 10–11 of the
+    /// paper), in tree order, once. The nested trees are dropped.
     fn from_parts(
         base: f64,
         learning_rate: f64,
         trees: Vec<RegressionTree>,
         n_features: usize,
     ) -> Self {
-        let flat = FlatForest::from_trees(&trees);
+        let mut importances = vec![0.0; n_features];
+        for tree in &trees {
+            tree.accumulate_importance(&mut importances);
+        }
+        let total: f64 = importances.iter().sum();
+        if total > 0.0 {
+            for v in &mut importances {
+                *v *= 100.0 / total;
+            }
+        }
         Sgbrt {
             base,
             learning_rate,
-            trees,
             n_features,
-            flat,
+            flat: FlatForest::from_trees(&trees),
+            importances,
         }
     }
 
-    /// Predicts the target for one feature row.
+    /// Predicts the target for one feature row: a one-row walk of the
+    /// same traversal [`Sgbrt::predict_batch`] runs.
     ///
     /// # Panics
     ///
     /// Panics if `row.len()` differs from the training width.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        assert_eq!(
-            row.len(),
-            self.n_features,
-            "feature row length does not match the fitted ensemble"
-        );
-        self.base + self.learning_rate * self.flat.predict_row(row)
+        let mut out = [0.0];
+        self.predict_block(&[row], &mut out);
+        out[0]
     }
 
-    /// Predicts a batch of rows.
+    /// Predicts a batch of rows: owned vectors (`&[Vec<f64>]`) or
+    /// slices, e.g. the `chunks_exact(n_features)` of one packed probe
+    /// buffer that the interaction sweeps reuse across calls.
     ///
     /// Chunks fan out across threads; within a chunk the flat forest's
     /// blocked traversal streams the node array once per row block
@@ -433,65 +371,33 @@ impl Sgbrt {
     /// # Panics
     ///
     /// Panics if any row's length differs from the training width.
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
         cm_par::map_chunked(rows.len(), PREDICT_CHUNK, |range| {
-            let chunk: Vec<&[f64]> = rows[range]
-                .iter()
-                .map(|row| {
-                    assert_eq!(
-                        row.len(),
-                        self.n_features,
-                        "feature row length does not match the fitted ensemble"
-                    );
-                    row.as_slice()
-                })
-                .collect();
-            self.finish_block(&chunk)
-        })
-    }
-
-    /// Runs the blocked forest walk over one chunk of row slices and
-    /// applies the boosting affine map `base + learning_rate · sum`.
-    fn finish_block(&self, chunk: &[&[f64]]) -> Vec<f64> {
-        let mut out = vec![0.0; chunk.len()];
-        self.flat.predict_rows_into(chunk, &mut out);
-        for v in &mut out {
-            *v = self.base + self.learning_rate * *v;
-        }
-        out
-    }
-
-    /// Predicts a batch packed as one contiguous row-major buffer of
-    /// `k · n_features` values — the allocation-free entry point for
-    /// dense sweeps (the interaction ranker writes candidate rows into
-    /// one reusable buffer instead of a `Vec<f64>` per row).
-    /// Bit-identical to calling [`Sgbrt::predict`] on each row slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len()` is not a multiple of the training width.
-    pub fn predict_batch_flat(&self, rows: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            rows.len() % self.n_features,
-            0,
-            "flat buffer length must be a multiple of the feature count"
-        );
-        let k = rows.len() / self.n_features;
-        cm_par::map_chunked(k, PREDICT_CHUNK, |range| {
-            let packed = &rows[range.start * self.n_features..range.end * self.n_features];
             let mut out = vec![0.0; range.len()];
-            self.flat
-                .predict_packed_into(packed, self.n_features, &mut out);
-            for v in &mut out {
-                *v = self.base + self.learning_rate * *v;
-            }
+            self.predict_block(&rows[range], &mut out);
             out
         })
     }
 
+    /// Walks the flat forest over `rows` and applies the boosting affine
+    /// map `base + learning_rate · sum`.
+    fn predict_block<R: AsRef<[f64]>>(&self, rows: &[R], out: &mut [f64]) {
+        for row in rows {
+            assert_eq!(
+                row.as_ref().len(),
+                self.n_features,
+                "feature row length does not match the fitted ensemble"
+            );
+        }
+        self.flat.predict_rows_into(rows, out);
+        for v in out {
+            *v = self.base + self.learning_rate * *v;
+        }
+    }
+
     /// Number of boosting stages.
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.flat.n_trees()
     }
 
     /// Number of features the model was trained on.
@@ -506,17 +412,7 @@ impl Sgbrt {
     ///
     /// Returns all zeros when no tree made any split (constant target).
     pub fn feature_importances(&self) -> Vec<f64> {
-        let mut acc = vec![0.0; self.n_features];
-        for tree in &self.trees {
-            tree.accumulate_importance(&mut acc);
-        }
-        let total: f64 = acc.iter().sum();
-        if total > 0.0 {
-            for v in &mut acc {
-                *v *= 100.0 / total;
-            }
-        }
-        acc
+        self.importances.clone()
     }
 }
 
@@ -604,6 +500,8 @@ mod tests {
         assert_eq!(serial, default_threads);
     }
 
+    /// The batch API over owned rows is bit for bit the one-row walk,
+    /// including the empty batch.
     #[test]
     fn predict_batch_matches_predict_exactly() {
         let data = friedman_like(300, 11);
@@ -613,12 +511,46 @@ mod tests {
         }
         .fit(&data)
         .unwrap();
-        let batch = model.predict_batch(data.rows());
+        let owned = model.predict_batch(data.rows());
+        assert_eq!(owned.len(), data.n_rows());
+        for (row, &a) in data.rows().iter().zip(&owned) {
+            assert_eq!(a.to_bits(), model.predict(row).to_bits());
+        }
+        assert!(model.predict_batch::<Vec<f64>>(&[]).is_empty());
+    }
+
+    /// A packed row-major buffer, split with `chunks_exact`, goes through
+    /// the same batch API and matches the one-row walk bit for bit.
+    #[test]
+    fn predict_batch_flat_matches_predict() {
+        let data = friedman_like(150, 29);
+        let model = SgbrtConfig {
+            n_trees: 30,
+            ..SgbrtConfig::default()
+        }
+        .fit(&data)
+        .unwrap();
+        let flat: Vec<f64> = data.rows().iter().flatten().copied().collect();
+        let slices: Vec<&[f64]> = flat.chunks_exact(model.n_features()).collect();
+        let batch = model.predict_batch(&slices);
         assert_eq!(batch.len(), data.n_rows());
         for (row, &b) in data.rows().iter().zip(&batch) {
-            assert_eq!(model.predict(row), b);
+            assert_eq!(model.predict(row).to_bits(), b.to_bits());
         }
-        assert!(model.predict_batch(&[]).is_empty());
+        assert!(model.predict_batch::<&[f64]>(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "feature row length")]
+    fn predict_batch_rejects_wrong_width_rows() {
+        let data = friedman_like(50, 33);
+        let model = SgbrtConfig {
+            n_trees: 5,
+            ..SgbrtConfig::default()
+        }
+        .fit(&data)
+        .unwrap();
+        model.predict_batch(&[vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 2.0, 3.0]]);
     }
 
     #[test]
@@ -666,56 +598,6 @@ mod tests {
         ] {
             assert!(cfg.fit(&data).is_err(), "{cfg:?} should be rejected");
         }
-    }
-
-    #[test]
-    fn early_stopping_truncates_and_does_not_hurt() {
-        // Pure-noise target: extra stages only overfit, so early stopping
-        // should truncate well before the full 200 stages.
-        let mut rng = Rng::seed_from_u64(12);
-        let rows: Vec<Vec<f64>> = (0..300)
-            .map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)])
-            .collect();
-        let y: Vec<f64> = (0..300).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let data = Dataset::new(rows, y).unwrap();
-        let config = SgbrtConfig {
-            n_trees: 200,
-            ..SgbrtConfig::default()
-        };
-        let stopped = config.fit_early_stopping(&data, 0.25, 5).unwrap();
-        assert!(
-            stopped.n_trees() < 200,
-            "expected truncation, kept {}",
-            stopped.n_trees()
-        );
-        assert!(stopped.n_trees() >= 1);
-    }
-
-    #[test]
-    fn early_stopping_keeps_signal_stages() {
-        let data = friedman_like(400, 13);
-        let config = SgbrtConfig {
-            n_trees: 150,
-            ..SgbrtConfig::default()
-        };
-        let stopped = config.fit_early_stopping(&data, 0.2, 10).unwrap();
-        // A real signal keeps many stages and predicts decently.
-        assert!(stopped.n_trees() > 20, "kept {}", stopped.n_trees());
-        let test = friedman_like(100, 14);
-        let err =
-            metrics::relative_error(test.targets(), &stopped.predict_batch(test.rows())).unwrap();
-        assert!(err < 0.2, "error {err}");
-    }
-
-    #[test]
-    fn early_stopping_validates_inputs() {
-        let data = friedman_like(50, 15);
-        assert!(SgbrtConfig::default()
-            .fit_early_stopping(&data, 0.2, 0)
-            .is_err());
-        assert!(SgbrtConfig::default()
-            .fit_early_stopping(&data, 0.0, 3)
-            .is_err());
     }
 
     #[test]
@@ -790,8 +672,8 @@ mod tests {
         assert_eq!(serial, all);
     }
 
-    /// Forcing one worker (the serial fallback path taken by
-    /// `--no-default-features` builds) must reproduce the pooled result.
+    /// Forcing one worker (the serial path `CM_THREADS=1` takes) must
+    /// reproduce the pooled result.
     #[test]
     fn hist_serial_fallback_matches_pooled_run() {
         let data = friedman_like(250, 19);
@@ -844,44 +726,6 @@ mod tests {
             let via_projection = config.fit(&projected).unwrap();
             assert_eq!(via_view, via_projection, "columns {cols:?}");
         }
-    }
-
-    #[test]
-    fn predict_batch_flat_matches_predict() {
-        let data = friedman_like(150, 29);
-        let model = SgbrtConfig {
-            n_trees: 30,
-            ..SgbrtConfig::default()
-        }
-        .fit(&data)
-        .unwrap();
-        let flat: Vec<f64> = data.rows().iter().flatten().copied().collect();
-        let batch = model.predict_batch_flat(&flat);
-        assert_eq!(batch.len(), data.n_rows());
-        for (row, &b) in data.rows().iter().zip(&batch) {
-            assert_eq!(model.predict(row), b);
-        }
-        assert!(model.predict_batch_flat(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of the feature count")]
-    fn predict_batch_flat_rejects_ragged_buffers() {
-        let data = friedman_like(50, 33);
-        let model = SgbrtConfig {
-            n_trees: 5,
-            ..SgbrtConfig::default()
-        }
-        .fit(&data)
-        .unwrap();
-        model.predict_batch_flat(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn trainer_parses_and_rejects() {
-        assert_eq!("exact".parse::<Trainer>().unwrap(), Trainer::Exact);
-        assert_eq!("HIST".parse::<Trainer>().unwrap(), Trainer::Hist);
-        assert!("fast".parse::<Trainer>().is_err());
     }
 
     #[test]

@@ -275,7 +275,7 @@ const ROW_BLOCK: usize = 16;
 ///
 /// Traversal touches one flat array of 16-byte [`FlatNode`]s instead of
 /// chasing `Vec<Node>` enums through pointer-sized tags, and the branch
-/// in the hot loop is a single arithmetic select. Batch prediction
+/// in the hot loop is a single arithmetic select. Prediction
 /// ([`FlatForest::predict_rows_into`]) additionally blocks rows so the
 /// whole forest streams through cache once per [`ROW_BLOCK`] rows
 /// instead of once per row. Prediction accumulates leaf values in tree
@@ -339,70 +339,30 @@ impl FlatForest {
         flat
     }
 
-    /// Sum of every tree's leaf value for one feature row, in tree
-    /// order.
-    #[inline]
-    pub(crate) fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for &root in &self.roots {
-            let mut i = root as usize;
-            loop {
-                let n = self.nodes[i];
-                if n.feat == 0 {
-                    acc += n.x;
-                    break;
-                }
-                let right = (row[(n.feat - 1) as usize] > n.x) as usize;
-                i = n.left as usize + right;
-            }
-        }
-        acc
+    /// Number of trees in the forest.
+    pub(crate) fn n_trees(&self) -> usize {
+        self.roots.len()
     }
 
     /// Raw forest sums (no base or learning-rate scaling) for a batch of
-    /// rows, written into `out`.
+    /// rows, written into `out` — the one traversal every prediction
+    /// runs, whether the rows are owned vectors or `chunks_exact` slices
+    /// of a packed buffer.
     ///
     /// Rows are processed in [`ROW_BLOCK`]-sized blocks with the *tree*
     /// loop outermost inside a block: each tree's nodes are walked for
     /// all rows of the block while they are hot in cache, so the forest
     /// streams through memory once per block instead of once per row.
     /// Each row's accumulator still receives its leaf values in tree
-    /// order, so every output is bit-identical to
-    /// [`FlatForest::predict_row`].
-    pub(crate) fn predict_rows_into(&self, rows: &[&[f64]], out: &mut [f64]) {
+    /// order, so every output is bit-identical to summing
+    /// [`RegressionTree::predict`] over the trees.
+    pub(crate) fn predict_rows_into<R: AsRef<[f64]>>(&self, rows: &[R], out: &mut [f64]) {
         debug_assert_eq!(rows.len(), out.len());
         for (rows, accs) in rows.chunks(ROW_BLOCK).zip(out.chunks_mut(ROW_BLOCK)) {
             accs.fill(0.0);
             for &root in &self.roots {
                 for (row, acc) in rows.iter().zip(accs.iter_mut()) {
-                    let mut i = root as usize;
-                    loop {
-                        let n = self.nodes[i];
-                        if n.feat == 0 {
-                            *acc += n.x;
-                            break;
-                        }
-                        let right = (row[(n.feat - 1) as usize] > n.x) as usize;
-                        i = n.left as usize + right;
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`FlatForest::predict_rows_into`] for rows packed row-major in
-    /// one contiguous buffer of width `n_features` — the walk indexes
-    /// the buffer directly, so the flat entry point never materializes
-    /// per-row slice references.
-    pub(crate) fn predict_packed_into(&self, rows: &[f64], n_features: usize, out: &mut [f64]) {
-        debug_assert_eq!(rows.len(), out.len() * n_features);
-        for (rows, accs) in rows
-            .chunks(ROW_BLOCK * n_features)
-            .zip(out.chunks_mut(ROW_BLOCK))
-        {
-            accs.fill(0.0);
-            for &root in &self.roots {
-                for (row, acc) in rows.chunks_exact(n_features).zip(accs.iter_mut()) {
+                    let row = row.as_ref();
                     let mut i = root as usize;
                     loop {
                         let n = self.nodes[i];
@@ -739,21 +699,21 @@ mod tests {
             })
             .collect();
         let flat = FlatForest::from_trees(&trees);
-        for row in &rows {
-            let walked: f64 = trees.iter().map(|t| t.predict(row)).sum();
-            assert_eq!(flat.predict_row(row), walked);
-        }
-        assert_eq!(FlatForest::from_trees(&[]).predict_row(&[1.0]), 0.0);
+        assert_eq!(flat.n_trees(), 4);
+        let mut out = [f64::NAN];
+        FlatForest::from_trees(&[]).predict_rows_into(&[[1.0]], &mut out);
+        assert_eq!(out[0], 0.0);
 
-        // The blocked batch path must agree bit-for-bit with the
-        // per-row walk at every block-boundary batch size (ROW_BLOCK is
+        // The blocked walk must agree bit-for-bit with summing the
+        // nested trees at every block-boundary batch size (ROW_BLOCK is
         // 16): empty, partial, exact, one-over, and multi-block.
         for n in [0usize, 1, 15, 16, 17, 33] {
-            let batch: Vec<&[f64]> = rows.iter().take(n).map(|r| r.as_slice()).collect();
+            let batch = &rows[..n];
             let mut out = vec![f64::NAN; n];
-            flat.predict_rows_into(&batch, &mut out);
+            flat.predict_rows_into(batch, &mut out);
             for (row, &got) in batch.iter().zip(&out) {
-                assert_eq!(got.to_bits(), flat.predict_row(row).to_bits(), "n={n}");
+                let walked: f64 = trees.iter().map(|t| t.predict(row)).sum();
+                assert_eq!(got.to_bits(), walked.to_bits(), "n={n}");
             }
         }
     }

@@ -30,9 +30,8 @@
 //!
 //! The effective thread budget is resolved, in priority order, from
 //! [`set_max_threads`], the `CM_THREADS` environment variable, and
-//! [`std::thread::available_parallelism`]. A budget of 1 (or building
-//! with `--no-default-features`) runs every combinator serially on the
-//! calling thread.
+//! [`std::thread::available_parallelism`]. A budget of 1 runs every
+//! combinator serially on the calling thread.
 //!
 //! # Examples
 //!
@@ -50,7 +49,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-#[cfg(feature = "parallel")]
 mod pool;
 
 /// Explicit thread-count override; 0 means "not set".
@@ -139,28 +137,25 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        if n > 1 && max_threads() > 1 {
-            use std::sync::Mutex;
-            // One slot per unit keeps the output in index order no
-            // matter which thread computes it; each slot's lock is
-            // touched exactly once.
-            let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-            let work = |i: usize| {
-                let r = f(i);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-            };
-            pool::run_units(n, &work);
-            return slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .expect("every unit of a completed region has run")
-                })
-                .collect();
-        }
+    if n > 1 && max_threads() > 1 {
+        use std::sync::Mutex;
+        // One slot per unit keeps the output in index order no matter
+        // which thread computes it; each slot's lock is touched exactly
+        // once.
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let work = |i: usize| {
+            let r = f(i);
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+        };
+        pool::run_units(n, &work);
+        return slots
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("every unit of a completed region has run")
+            })
+            .collect();
     }
     (0..n).map(f).collect()
 }
@@ -270,19 +265,16 @@ where
     B: FnOnce() -> RB + Send,
 {
     record_region(2);
-    #[cfg(feature = "parallel")]
-    {
-        if max_threads() > 1 {
-            return std::thread::scope(|s| {
-                let hb = s.spawn(b);
-                let ra = a();
-                let rb = match hb.join() {
-                    Ok(rb) => rb,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                (ra, rb)
-            });
-        }
+    if max_threads() > 1 {
+        return std::thread::scope(|s| {
+            let hb = s.spawn(b);
+            let ra = a();
+            let rb = match hb.join() {
+                Ok(rb) => rb,
+                Err(payload) => std::panic::resume_unwind(payload),
+            };
+            (ra, rb)
+        });
     }
     let ra = a();
     let rb = b();
@@ -405,7 +397,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn worker_panics_propagate_to_caller() {
         let result = std::panic::catch_unwind(|| {

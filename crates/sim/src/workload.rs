@@ -65,7 +65,8 @@ impl Workload {
     ///
     /// Each event's activity process blends a *family* component
     /// (shared by every benchmark in `benchmark.family()`) with the
-    /// benchmark's own component, [`FAMILY_WEIGHT`] toward the family.
+    /// benchmark's own component, weighted `FAMILY_WEIGHT` (0.75)
+    /// toward the family.
     /// The blend is what gives counter signatures their recoverable
     /// family structure.
     pub fn new(benchmark: Benchmark, catalog: &EventCatalog) -> Self {
@@ -137,7 +138,7 @@ impl Workload {
     /// Generates an **anomalous** run: the same deterministic ground
     /// truth as [`Workload::generate_run`] for `(run_index, seed)`, but
     /// with the benchmark's dominant profile events running at
-    /// [`ANOMALY_SCALE`] times their normal mean activity — the
+    /// `ANOMALY_SCALE` (6, 5 and 4) times their normal mean activity — the
     /// signature of a misconfigured executor or a hostile co-runner.
     /// The `cluster` analysis mode is expected to flag every such run.
     pub fn anomalous_run(&self, run_index: u32, seed: u64) -> GeneratedRun {

@@ -135,10 +135,7 @@ fn extend_commits_through_compaction_are_byte_identical() {
 
 /// After the two commits of the multi-fill recommit: the fresh store,
 /// then a 2-row tail on its middle series.
-const LARGE: [(u64, u64); 2] = [
-    (650292922998863139, 760213),
-    (8719642268429132143, 760258),
-];
+const LARGE: [(u64, u64); 2] = [(650292922998863139, 760213), (8719642268429132143, 760258)];
 
 #[test]
 fn recommit_larger_than_the_staging_buffer_is_byte_identical() {
